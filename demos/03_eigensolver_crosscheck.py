@@ -1,23 +1,28 @@
-"""Two eigensolvers that share no code, used as each other's oracle.
+"""The default LAPACK solver beside two oracle solvers that share no code.
 
-Cyclic Jacobi diagonalizes the whole matrix; shifted power iteration chases
-only the dominant eigenvalue (the shift by Delta*I keeps bipartite adjacency
-matrices, whose spectrum is symmetric, from oscillating). On every graph
-both must land on the same spectral radius.
+LAPACK's symmetric eigensolver (numpy.linalg.eigh) is the default for
+n <= 1000. Cyclic Jacobi diagonalizes the whole matrix; shifted power
+iteration chases only the dominant eigenvalue (the shift by Delta*I keeps
+bipartite adjacency matrices, whose spectrum is symmetric, from
+oscillating). On every graph all three must land on the same spectral
+radius.
 """
 
-from aalpha import (bound_g, build_alpha_matrix, gen_cycle, gen_random,
-                    gen_star, spectral_radius_jacobi, spectral_radius_power)
+from aalpha import (ConvergenceError, bound_g, build_alpha_matrix, gen_cycle,
+                    gen_random, gen_star, spectral_radius_dense,
+                    spectral_radius_jacobi, spectral_radius_power)
 
 print("random graphs, alpha = 0.3:")
-print(f"{'graph':>16s} {'jacobi':>20s} {'power':>20s} {'|diff|':>10s}")
+print(f"{'graph':>16s} {'dense (LAPACK)':>20s} {'jacobi':>20s} {'power':>20s} "
+      f"{'max |diff|':>10s}")
 for n, p, seed in [(5, 0.5, 1), (8, 0.3, 2), (10, 0.7, 3), (12, 0.5, 4)]:
     g = gen_random(n, p, seed)
     am = build_alpha_matrix(g, 0.3)
-    rj = spectral_radius_jacobi(am)
-    rp = spectral_radius_power(am)
-    print(f"  G({n},{p}) s={seed} {rj.lambda1:20.15f} {rp.lambda1:20.15f} "
-          f"{abs(rj.lambda1 - rp.lambda1):10.2e}")
+    lams = [solve(am).lambda1 for solve in (spectral_radius_dense,
+                                            spectral_radius_jacobi,
+                                            spectral_radius_power)]
+    print(f"  G({n},{p}) s={seed} {lams[0]:20.15f} {lams[1]:20.15f} "
+          f"{lams[2]:20.15f} {max(lams) - min(lams):10.2e}")
 
 print("\nthe bipartite trap: C4 adjacency has eigenvalues {2, 0, 0, -2}.")
 am = build_alpha_matrix(gen_cycle(4), 0.0)
@@ -28,13 +33,27 @@ print(f"  power iteration still finds lambda1 = {rp.lambda1:.12f} "
 print("\nstars K_{1,D} at alpha = 0.5 hit the closed-form bound exactly:")
 for Delta in (1, 3, 6, 10):
     am = build_alpha_matrix(gen_star(Delta + 1), 0.5)
-    lam = spectral_radius_jacobi(am).lambda1
+    lam = spectral_radius_dense(am).lambda1
     print(f"  Delta = {Delta:2d}: lambda1 = {lam:.12f}   "
           f"g = {bound_g(Delta, 0.5):.12f}")
 
 print("\nsolver work on one 40-vertex graph, alpha = 0.5:")
 am = build_alpha_matrix(gen_random(40, 0.2, 7), 0.5)
+rd = spectral_radius_dense(am)
 rj = spectral_radius_jacobi(am)
 rp = spectral_radius_power(am)
+print(f"  dense:  one LAPACK call, eigenvector residual {rd.residual:.1e}")
 print(f"  jacobi: {rj.iterations} sweeps,     off-norm residual {rj.residual:.1e}")
 print(f"  power:  {rp.iterations} iterations, residual {rp.residual:.1e}")
+
+print("\na small spectral gap: C_400 at alpha = 0.5 has lambda1 = 2 exactly.")
+am = build_alpha_matrix(gen_cycle(400), 0.5)
+rd = spectral_radius_dense(am)
+print(f"  dense:  lambda1 = {rd.lambda1:.15f} (residual {rd.residual:.1e})")
+try:
+    spectral_radius_power(am)
+except ConvergenceError as exc:
+    # The shifted eigenvalue ratio is (4 - 1.2e-4) / 4, so each step
+    # shrinks the residual by a factor of only about 1 - 3e-5.
+    print(f"  power:  stalls after {exc.iterations} iterations at "
+          f"{exc.estimate:.15f} (residual {exc.residual:.1e}, gate 1e-9)")

@@ -1,7 +1,7 @@
 """Spectral-radius lower bounds for the matrix family alpha*D + (1-alpha)*A
 of a simple graph: closed-form bounds f and g, an exact trichotomy classifier
-for their comparison, two independent eigensolvers, and verification
-campaigns that test every claim numerically.
+for their comparison, a LAPACK eigensolver with two independent oracle
+solvers, and verification campaigns that test every claim numerically.
 """
 
 from .alpha_matrix import AlphaMatrix, build_alpha_matrix, matrix_csv, matvec
@@ -23,8 +23,8 @@ from .harness import (BOUND_SLACK, EQUALITY_TOL, STRICTNESS_ALPHAS,
                       sweep_grid, verification_violations, verify_graph)
 from .spectral import (DISPATCH_DENSE_LIMIT, JACOBI_MAX_SWEEPS,
                        POWER_MAX_ITER, POWER_TOL, SpectralResult,
-                       spectral_radius, spectral_radius_jacobi,
-                       spectral_radius_power)
+                       spectral_radius, spectral_radius_dense,
+                       spectral_radius_jacobi, spectral_radius_power)
 
 __version__ = "0.1.0"
 
@@ -45,8 +45,8 @@ __all__ = [
     "emit_report", "render_report", "parse_report", "default_graph_id",
     "BOUND_SLACK", "EQUALITY_TOL", "STRICTNESS_MARGIN", "STRICTNESS_ALPHAS",
     "SWEEP_COLUMNS", "VERIFICATION_COLUMNS",
-    "SpectralResult", "spectral_radius", "spectral_radius_jacobi",
-    "spectral_radius_power", "JACOBI_MAX_SWEEPS", "DISPATCH_DENSE_LIMIT",
-    "POWER_TOL", "POWER_MAX_ITER",
+    "SpectralResult", "spectral_radius", "spectral_radius_dense",
+    "spectral_radius_jacobi", "spectral_radius_power", "JACOBI_MAX_SWEEPS",
+    "DISPATCH_DENSE_LIMIT", "POWER_TOL", "POWER_MAX_ITER",
     "__version__",
 ]

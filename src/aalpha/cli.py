@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p, with_isolated=True)
     p.add_argument("--alphas", required=True,
                    help="comma-separated alpha values in [0, 1]")
-    p.add_argument("--method", choices=("jacobi", "power"))
+    p.add_argument("--method", choices=("dense", "jacobi", "power"))
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_verify)
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="spectral radius of one alpha matrix")
     _add_graph_source(p, with_isolated=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", choices=("jacobi", "power"))
+    p.add_argument("--method", choices=("dense", "jacobi", "power"))
     p.set_defaults(fn=_cmd_spectral)
     return ap
 
@@ -250,7 +250,8 @@ def main(argv=None) -> int:
         print(f"consistency violation: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        print(f"solver failure: {exc} (estimate {exc.estimate!r}, residual "
+              f"{exc.residual!r}, iterations {exc.iterations})", file=sys.stderr)
         return 1
 
 

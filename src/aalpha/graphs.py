@@ -247,21 +247,18 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) draw, reproducible from the seed.
 
     One uniform variate is drawn per unordered pair in lexicographic order
-    (0,1), (0,2), ..., (n-2,n-1) from numpy's default generator (PCG64);
-    the pair becomes an edge when its variate is < p. Equal seeds therefore
-    give identical graphs on any platform.
+    (0,1), (0,2), ..., (n-2,n-1) from numpy's default generator (PCG64), all
+    in one call; the pair becomes an edge when its variate is < p. Equal
+    seeds therefore give identical graphs on any platform.
     """
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return Graph(n, tuple(edges))
+    iu, ju = np.triu_indices(n, 1)  # row-major: the lexicographic pair order
+    keep = rng.random(n * (n - 1) // 2) < p
+    return Graph(n, tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
 
 
 def add_isolated(g: Graph, k: int) -> Graph:

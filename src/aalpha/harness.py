@@ -244,7 +244,7 @@ def _non_star_fixtures() -> list[tuple[str, Graph]]:
 
 
 def certify_star_equality(Delta_max: int, alpha_steps: int,
-                          method: str = "power") -> StarCertification:
+                          method: str | None = None) -> StarCertification:
     """Equality certification for stars, strictness for non-stars.
 
     For every Delta in [1, Delta_max] and alpha = k/alpha_steps the star
@@ -252,8 +252,8 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     connected non-star set (C4, C5, K4, P4, K23) must satisfy
     lambda1 > g + 1e-6 at alpha in {0, 0.25, 0.5, 0.75}. alpha = 1 is left
     out of the strictness set because lambda1 = Delta = g there for every
-    graph. The power method is the default: its residual gate (1e-9) keeps
-    the eigenvalue error an order under the certification tolerance.
+    graph. method None means the spectral_radius dispatcher, which solves
+    these small matrices with LAPACK; "jacobi" or "power" force an oracle.
     """
     try:
         Delta_max = operator.index(Delta_max)

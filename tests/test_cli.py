@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import aalpha.cli as cli_mod
-from aalpha import bound_f, bound_g, parse_report
+from aalpha import bound_f, bound_g, parse_report, spectral_radius_power
 from aalpha.cli import main
 
 
@@ -137,13 +137,51 @@ def test_spectral_outputs(capsys):
     assert rc == 0
     got = fields(out)
     assert abs(float(got["lambda1"]) - 3.0) <= 1e-10
-    assert got["method"] == "jacobi"
+    assert got["method"] == "dense"
     rc, out, _ = run(capsys, "spectral", "--gen", "cycle:4", "--alpha", "0",
                      "--method", "power")
     got = fields(out)
     assert abs(float(got["lambda1"]) - 2.0) <= 1e-9
     assert got["method"] == "power"
     assert int(got["iterations"]) >= 1
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_spectral_cycle_small_gap(capsys, n):
+    """Cycles have a spectral gap of order 1/n^2 that stalls power iteration;
+    the default path still returns lambda1 = 2 to 1e-10 and exits 0."""
+    rc, out, _ = run(capsys, "spectral", "--gen", f"cycle:{n}", "--alpha", "0.5")
+    assert rc == 0
+    got = fields(out)
+    assert abs(float(got["lambda1"]) - 2.0) <= 1e-10
+    assert got["method"] == "dense"
+
+
+def test_spectral_and_verify_force_dense(tmp_path, capsys):
+    rc, out, _ = run(capsys, "spectral", "--gen", "star:5", "--alpha", "0.5",
+                     "--method", "dense")
+    assert rc == 0
+    got = fields(out)
+    assert got["method"] == "dense" and got["iterations"] == "1"
+    assert abs(float(got["lambda1"]) - bound_g(4, 0.5)) <= 1e-12
+    rc, _, _ = run(capsys, "verify", "--gen", "cycle:5", "--alphas", "0,0.5",
+                   "--method", "dense", "--out", str(tmp_path / "d.csv"))
+    assert rc == 0
+    assert [r.lambda1 for r in parse_report(tmp_path / "d.csv")] == \
+        pytest.approx([2.0, 2.0], abs=1e-12)
+
+
+def test_solver_failure_reports_evidence(capsys, monkeypatch):
+    """A stalled solver exits 1 and names its estimate, residual and
+    iteration count."""
+    monkeypatch.setattr(cli_mod, "spectral_radius",
+                        lambda am, method: spectral_radius_power(am, max_iter=3))
+    rc, out, err = run(capsys, "spectral", "--gen", "cycle:5", "--alpha", "0.3")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("solver failure: power iteration did not converge")
+    assert "estimate " in err and "residual " in err
+    assert "iterations 3)" in err
 
 
 def test_spectral_random_gen(capsys):

@@ -165,15 +165,18 @@ def test_gen_random_deterministic():
 
 
 def test_gen_random_matches_pair_order():
-    """One variate per unordered pair in lexicographic order."""
-    n, p, seed = 7, 0.4, 9
-    rng = np.random.default_rng(seed)
-    expect = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                expect.append((i, j))
-    assert gen_random(n, p, seed).edges == tuple(expect)
+    """One variate per unordered pair in lexicographic order, exactly as a
+    per-pair loop draws them: the seeded-identity promise."""
+    for n, p, seed in [(7, 0.4, 9), (0, 0.5, 1), (1, 0.5, 1), (10, 0.5, 3),
+                       (13, 0.8, 0), (300, 0.1, 7), (60, 0.0, 2),
+                       (25, 1.0, 4)]:
+        rng = np.random.default_rng(seed)
+        expect = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    expect.append((i, j))
+        assert gen_random(n, p, seed).edges == tuple(expect)
     with pytest.raises(InputError):
         gen_random(5, 1.5, 0)
     with pytest.raises(InputError):

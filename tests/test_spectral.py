@@ -1,4 +1,4 @@
-"""Both eigensolvers against closed-form spectra, each other, and numpy."""
+"""The eigensolvers against closed-form spectra, each other, and numpy."""
 
 import math
 
@@ -8,8 +8,8 @@ import pytest
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, Graph, InputError,
                     add_isolated, build_alpha_matrix, from_edge_list,
                     gen_circulant, gen_complete, gen_cycle, gen_random,
-                    gen_star, spectral_radius, spectral_radius_jacobi,
-                    spectral_radius_power)
+                    gen_star, spectral_radius, spectral_radius_dense,
+                    spectral_radius_jacobi, spectral_radius_power)
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -21,6 +21,7 @@ def test_regular_graphs_have_radius_r():
     for g, r in cases:
         for alpha in ALPHAS:
             am = build_alpha_matrix(g, alpha)
+            assert abs(spectral_radius_dense(am).lambda1 - r) <= 1e-10
             assert abs(spectral_radius_jacobi(am).lambda1 - r) <= 1e-10
             assert abs(spectral_radius_power(am).lambda1 - r) <= 1e-9
 
@@ -30,6 +31,7 @@ def test_star_adjacency_radius_sqrt_delta():
     # squaring the matrix gives Delta on the center row.
     for Delta in (1, 2, 3, 7, 12):
         am = build_alpha_matrix(gen_star(Delta + 1), 0.0)
+        assert abs(spectral_radius_dense(am).lambda1 - math.sqrt(Delta)) <= 1e-12
         assert abs(spectral_radius_jacobi(am).lambda1 - math.sqrt(Delta)) <= 1e-12
         assert abs(spectral_radius_power(am).lambda1 - math.sqrt(Delta)) <= 1e-9
 
@@ -59,6 +61,8 @@ def test_zero_matrix():
         am = build_alpha_matrix(Graph(n, ()), 0.6)
         rj = spectral_radius_jacobi(am)
         assert rj.lambda1 == 0.0 and rj.iterations == 0
+        rd = spectral_radius_dense(am)
+        assert rd.lambda1 == 0.0 and rd.residual == 0.0
         rp = spectral_radius_power(am)
         assert rp.lambda1 == 0.0 and rp.residual == 0.0
 
@@ -113,6 +117,10 @@ def test_residual_and_iteration_reporting():
     fro = math.sqrt(float(np.sum(am.matrix * am.matrix)))
     assert rj.residual <= 1e-12 * (1 + fro)
     assert 1 <= rj.iterations <= 100
+    rd = spectral_radius_dense(am)
+    assert rd.residual <= 1e-12 * (1 + fro)
+    assert rd.iterations == 1
+    assert abs(rd.lambda1 - rj.lambda1) <= 1e-12 * (1 + fro)
     rp = spectral_radius_power(am, tol=1e-10)
     assert rp.residual <= 1e-9
     assert rp.iterations >= 1
@@ -123,12 +131,15 @@ def test_residual_and_iteration_reporting():
 
 def test_dispatcher():
     am = build_alpha_matrix(gen_random(12, 0.5, 0), 0.5)
-    assert spectral_radius(am).method == "jacobi"
+    assert spectral_radius(am).method == "dense"
+    assert spectral_radius(am, "dense").method == "dense"
     assert spectral_radius(am, "power").method == "power"
     assert spectral_radius(am, "jacobi").method == "jacobi"
     with pytest.raises(InputError):
         spectral_radius(am, "lanczos")
-    assert DISPATCH_DENSE_LIMIT == 200
+    assert DISPATCH_DENSE_LIMIT == 1000
+    at_limit = build_alpha_matrix(gen_cycle(DISPATCH_DENSE_LIMIT), 0.5)
+    assert spectral_radius(at_limit).method == "dense"
 
 
 def test_dispatcher_uses_power_above_limit():
@@ -159,6 +170,30 @@ def test_input_validation():
         spectral_radius_power(am, max_iter=0)
     empty = build_alpha_matrix(Graph(0, ()), 0.5)
     with pytest.raises(InputError):
+        spectral_radius_dense(empty)
+    with pytest.raises(InputError):
         spectral_radius_jacobi(empty)
     with pytest.raises(InputError):
         spectral_radius_power(empty)
+
+
+def test_small_gap_path_matches_eigvalsh():
+    """P_400 has spectral gap ~1e-4 at alpha = 0.5: power iteration stalls on
+    it, the default path must not."""
+    n = 400
+    am = build_alpha_matrix(from_edge_list(n, [(i, i + 1) for i in range(n - 1)]),
+                            0.5)
+    res = spectral_radius(am)
+    assert res.method == "dense"
+    assert abs(res.lambda1 - float(np.linalg.eigvalsh(am.matrix)[-1])) <= 1e-10
+    assert res.residual <= 1e-10
+
+
+def test_power_nonzero_matvec_matches_dense_product():
+    """The power path multiplies over nonzero entries only; on a graph with
+    isolated vertices and zero rows it still agrees with LAPACK."""
+    g = add_isolated(gen_random(60, 0.1, 5), 7)
+    for alpha in ALPHAS:
+        am = build_alpha_matrix(g, alpha)
+        rp = spectral_radius_power(am)
+        assert abs(rp.lambda1 - spectral_radius_dense(am).lambda1) <= 1e-8
