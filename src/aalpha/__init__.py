@@ -17,7 +17,7 @@ from .graphs import (GRAPH6_MAX_N, DegreeProfile, Graph, add_isolated,
 from .harness import (BOUND_SLACK, EQUALITY_TOL, STRICTNESS_ALPHAS,
                       STRICTNESS_MARGIN, SWEEP_COLUMNS, VERIFICATION_COLUMNS,
                       StarCertification, SweepRecord, SweepSummary,
-                      VerificationRecord, certify_star_equality,
+                      SweepTable, VerificationRecord, certify_star_equality,
                       default_graph_id, emit_report, parse_report,
                       random_campaign, render_report, summarize_sweep,
                       sweep_grid, verification_violations, verify_graph)
@@ -39,7 +39,8 @@ __all__ = [
     "emit_graph6", "from_edge_list", "gen_circulant", "gen_complete",
     "gen_cycle", "gen_random", "gen_star", "is_connected", "is_star",
     "parse_edge_list", "parse_graph6",
-    "SweepRecord", "SweepSummary", "VerificationRecord", "StarCertification",
+    "SweepRecord", "SweepSummary", "SweepTable", "VerificationRecord",
+    "StarCertification",
     "sweep_grid", "summarize_sweep", "verify_graph",
     "verification_violations", "random_campaign", "certify_star_equality",
     "emit_report", "render_report", "parse_report", "default_graph_id",

@@ -7,11 +7,11 @@ matrix is symmetric and entrywise nonnegative, and its row sums equal the
 vertex degrees for every alpha.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check_alpha
 from .errors import InputError
 from .graphs import Graph
 
@@ -37,13 +37,7 @@ def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> Alph
     (the combination is defined there too, but entrywise nonnegativity and
     the bound guarantees only cover [0, 1]).
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise InputError(f"alpha must be finite, got {alpha}")
-    lo, hi = (0.0, math.inf) if permissive else (0.0, 1.0)
-    if not lo <= alpha <= hi:
-        cap = "alpha >= 0" if permissive else "alpha in [0, 1]"
-        raise InputError(f"need {cap}, got {alpha}")
+    alpha = check_alpha(alpha, permissive)
     deg = g.degrees()
     m = (1.0 - alpha) * g.adjacency_matrix()
     idx = np.arange(g.n)

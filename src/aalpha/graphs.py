@@ -12,6 +12,7 @@ import numpy as np
 from .errors import InputError, ParseError, UnsupportedSizeError
 
 GRAPH6_MAX_N = 62
+_RANDOM_CHUNK = 1 << 16  # gen_random variates per draw
 _GRAPH6_PREFIX = ">>graph6<<"
 
 
@@ -247,18 +248,26 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) draw, reproducible from the seed.
 
     One uniform variate is drawn per unordered pair in lexicographic order
-    (0,1), (0,2), ..., (n-2,n-1) from numpy's default generator (PCG64), all
-    in one call; the pair becomes an edge when its variate is < p. Equal
-    seeds therefore give identical graphs on any platform.
+    (0,1), (0,2), ..., (n-2,n-1) from numpy's default generator (PCG64); the
+    pair becomes an edge when its variate is < p. Equal seeds therefore give
+    identical graphs on any platform. The variates are drawn in chunks of
+    _RANDOM_CHUNK, which continue one stream exactly as a single call would,
+    so memory stays O(chunk + edges) while time is O(n^2).
     """
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, 1)  # row-major: the lexicographic pair order
-    keep = rng.random(n * (n - 1) // 2) < p
-    return Graph(n, tuple(zip(iu[keep].tolist(), ju[keep].tolist())))
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # flat offset of pair (i, i+1)
+    pairs = n * (n - 1) // 2
+    kept = [np.flatnonzero(rng.random(min(_RANDOM_CHUNK, pairs - lo)) < p) + lo
+            for lo in range(0, pairs, _RANDOM_CHUNK)]
+    flat = np.concatenate(kept) if kept else np.empty(0, np.int64)
+    i = np.searchsorted(starts, flat, side="right") - 1
+    j = flat - starts[i] + i + 1
+    return Graph(n, tuple(zip(i.tolist(), j.tolist())))
 
 
 def add_isolated(g: Graph, k: int) -> Graph:

@@ -10,19 +10,26 @@ Three campaigns, each a falsification attempt on a claim about the bounds:
   * certify_star_equality — stars must achieve g exactly; a fixed set of
                      connected non-stars must beat it strictly.
 
-Records are flat tuples so campaigns stay cheap at grid scale; emit_report
-and parse_report round-trip them through CSV or JSON without precision loss.
+A sweep comes back as a SweepTable: one numpy array per report column, with
+orderings and witnesses as small integer codes, which still reads as a
+sequence of SweepRecord tuples. Graph checks are lists of VerificationRecord
+tuples. emit_report and parse_report round-trip both through CSV or JSON
+without precision loss; CSV is written and read a whole column at a time.
 """
 
 import csv
 import io
+import itertools
 import json
 import operator
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .alpha_matrix import build_alpha_matrix
-from .bounds import (DEFAULT_EPSILON, Ordering, Witness, _classify_kernel,
-                     _f_kernel, _g_kernel, numeric_ordering)
+from .bounds import (DEFAULT_EPSILON, ORDERINGS, WITNESSES, Ordering, Witness,
+                     _classify_codes, _f_kernel, _g_kernel, _numeric_code,
+                     check_alpha)
 from .errors import ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, degree_profile, emit_graph6,
                      from_edge_list, gen_complete, gen_cycle, gen_random,
@@ -60,6 +67,79 @@ class SweepSummary(NamedTuple):
     inconsistent: int
 
 
+# Coded sweep columns and the enum members their codes stand for.
+_MEMBERS = {"symbolic": ORDERINGS, "numeric": ORDERINGS, "witness": WITNESSES}
+
+
+class SweepTable:
+    """Sweep records stored column by column.
+
+    ``columns`` maps each SWEEP_COLUMNS name to a read-only numpy array:
+    int64 degrees, float64 reals, a bool ``consistent``, and int8 codes in
+    ``symbolic``, ``numeric`` and ``witness`` that index bounds.ORDERINGS
+    and bounds.WITNESSES.
+
+    The table reads as a sequence of SweepRecord. Iteration and integer
+    indexing give records of plain int, float, bool and enum values, a
+    slice gives a table, and a table equals any table, list or tuple that
+    holds the same records, so an empty table equals [].
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        cols = {name: np.array(columns[name], dtype=_CELLS[name].dtype)
+                for name in SWEEP_COLUMNS}
+        if len({c.shape for c in cols.values()}) != 1 or cols["delta"].ndim != 1:
+            raise InputError("sweep columns must be 1-d and of equal length")
+        for c in cols.values():
+            c.flags.writeable = False
+        self.columns = cols
+
+    @classmethod
+    def from_records(cls, records) -> "SweepTable":
+        """The table of any iterable of SweepRecord; a table comes back as is."""
+        if isinstance(records, cls):
+            return records
+        fields = list(zip(*records)) or [()] * len(SWEEP_COLUMNS)
+        if len(fields) != len(SWEEP_COLUMNS):
+            raise InputError(f"sweep records have {len(SWEEP_COLUMNS)} "
+                             f"fields, got {len(fields)}")
+        columns = dict(zip(SWEEP_COLUMNS, fields))
+        for name, members in _MEMBERS.items():
+            columns[name] = list(map(members.index, columns[name]))
+        return cls(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns["delta"])
+
+    def __iter__(self):
+        cols = self.columns
+        return itertools.starmap(SweepRecord, zip(*(
+            map(_MEMBERS[name].__getitem__, cols[name].tolist())
+            if name in _MEMBERS else cols[name].tolist()
+            for name in SWEEP_COLUMNS)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable({k: c[index] for k, c in self.columns.items()})
+        i = range(len(self))[index]  # IndexError and TypeError as for a list
+        return next(iter(self[i:i + 1]))
+
+    def __eq__(self, other):
+        if isinstance(other, SweepTable):
+            return all(np.array_equal(a, b) for a, b in
+                       zip(self.columns.values(), other.columns.values()))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"SweepTable({len(self)} records)"
+
+
 class VerificationRecord(NamedTuple):
     """Bound check for one concrete graph at one alpha."""
 
@@ -93,14 +173,16 @@ class StarCertification(NamedTuple):
 
 
 def sweep_grid(delta_max: int, Delta_max: int,
-               alpha_steps: int) -> list[SweepRecord]:
+               alpha_steps: int) -> SweepTable:
     """Every (delta, Delta, alpha) with 0 <= delta <= min(Delta, delta_max),
     delta <= Delta <= Delta_max, alpha = k/alpha_steps for k = 0..alpha_steps,
-    in (delta, Delta, alpha) order.
+    in (delta, Delta, alpha) order, as a SweepTable.
 
     Each record carries the symbolic classification, the numeric sign of
     f - g at epsilon 1e-9, and their agreement flag; nothing raises here so
-    a disagreement would surface as a countable record, not an abort.
+    a disagreement would surface as a countable record, not an abort. The
+    columns come from the same kernels as bound_f, bound_g, classify and
+    numeric_ordering, run over whole arrays, and equal them bit for bit.
     """
     try:
         delta_max = operator.index(delta_max)
@@ -113,43 +195,35 @@ def sweep_grid(delta_max: int, Delta_max: int,
             f"need 0 <= delta_max <= Delta_max, got ({delta_max}, {Delta_max})")
     if alpha_steps < 1:
         raise InputError(f"alpha_steps must be >= 1, got {alpha_steps}")
-    alphas = [k / alpha_steps for k in range(alpha_steps + 1)]
-    records = []
-    append = records.append
-    eps = DEFAULT_EPSILON
-    for delta in range(delta_max + 1):
-        for Delta in range(delta, Delta_max + 1):
-            for alpha in alphas:
-                f = _f_kernel(delta, Delta, alpha)
-                g = _g_kernel(Delta, alpha)
-                diff = f - g
-                symbolic, witness = _classify_kernel(delta, Delta, alpha)
-                if diff > eps:
-                    numeric = Ordering.GREATER
-                elif diff < -eps:
-                    numeric = Ordering.LESS
-                else:
-                    numeric = Ordering.EQUAL
-                append(SweepRecord(delta, Delta, alpha, f, g, diff, symbolic,
-                                   numeric, witness, symbolic is numeric))
-    return records
+    # The upper triangle of the (delta_max+1) x (Delta_max+1) index grid, in
+    # row-major order, is exactly the (delta, Delta) pairs in sweep order.
+    delta, Delta = np.triu_indices(delta_max + 1, 0, Delta_max + 1)
+    points = alpha_steps + 1
+    alpha = np.tile(np.arange(points) / alpha_steps, len(delta))
+    delta, Delta = np.repeat(delta, points), np.repeat(Delta, points)
+    # The kernels square degree gaps; in float64 that cannot wrap.
+    fdelta, fDelta = delta.astype(np.float64), Delta.astype(np.float64)
+    f = _f_kernel(fdelta, fDelta, alpha, np)
+    g = _g_kernel(fDelta, alpha, np)
+    diff = f - g
+    symbolic, witness = _classify_codes(delta, Delta, alpha)
+    numeric = _numeric_code(diff, DEFAULT_EPSILON)
+    return SweepTable(dict(zip(SWEEP_COLUMNS, (
+        delta, Delta, alpha, f, g, diff, symbolic, numeric, witness,
+        symbolic == numeric))))
 
 
 def summarize_sweep(records) -> SweepSummary:
-    """Count orderings and disagreements across sweep records."""
-    greater = equal = less = bad = 0
-    total = 0
-    for r in records:
-        total += 1
-        if r.symbolic_ordering is Ordering.GREATER:
-            greater += 1
-        elif r.symbolic_ordering is Ordering.EQUAL:
-            equal += 1
-        else:
-            less += 1
-        if not r.consistent:
-            bad += 1
-    return SweepSummary(total, greater, equal, less, bad)
+    """Count orderings and disagreements across a SweepTable, or across any
+    iterable of SweepRecord, which is made into a table first."""
+    table = SweepTable.from_records(records)
+    counts = dict(zip(ORDERINGS, np.bincount(
+        table.columns["symbolic"], minlength=len(ORDERINGS)).tolist()))
+    total = len(table)
+    return SweepSummary(
+        total, counts[Ordering.GREATER], counts[Ordering.EQUAL],
+        counts[Ordering.LESS],
+        total - int(np.count_nonzero(table.columns["consistent"])))
 
 
 def default_graph_id(g: Graph) -> str:
@@ -170,10 +244,7 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     """
     if g.n < 2:
         raise InputError(f"verification needs n >= 2, got n = {g.n}")
-    alphas = [float(a) for a in alpha_list]
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise InputError(f"verification alpha must lie in [0, 1], got {a}")
+    alphas = [check_alpha(a) for a in alpha_list]
     if graph_id is None:
         graph_id = default_graph_id(g)
     prof = degree_profile(g)
@@ -299,8 +370,9 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
 # Reports
 #
 # CSV is the canonical artifact (fixed column order, reals at %.17g which
-# round-trips float64 exactly, booleans as true/false); JSON mirrors the
-# same column names with native types.
+# round-trips float64 exactly, booleans as true/false, csv.writer quoting);
+# JSON mirrors the same column names with native types. CSV is written and
+# read a whole column at a time, for both report kinds.
 # ---------------------------------------------------------------------------
 
 SWEEP_COLUMNS = ("delta", "Delta", "alpha", "f", "g", "diff", "symbolic",
@@ -308,6 +380,49 @@ SWEEP_COLUMNS = ("delta", "Delta", "alpha", "f", "g", "diff", "symbolic",
 VERIFICATION_COLUMNS = ("graph_id", "n", "m", "Delta", "delta", "alpha",
                         "lambda1", "f", "g", "f_holds", "g_holds",
                         "g_equality", "is_star", "is_connected")
+
+
+def _csv_quote(text: str) -> str:
+    # csv.writer's own quoting of one field; the empty second field keeps a
+    # lone empty value from being written as "".
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+class _Cell(NamedTuple):
+    """How one report column is held and written. A coded column holds, for
+    each entry, the position of its text in ``names``; any other column
+    writes each value with ``text``. ``dtype`` is the in-memory dtype."""
+
+    dtype: object
+    text: Callable | None = None
+    names: tuple[str, ...] = ()
+
+    @property
+    def field(self):
+        """The np.loadtxt field dtype. A coded column is read as bytes one
+        character wider than its longest name, so that no longer cell can be
+        cut down to a name."""
+        if self.names:
+            return f"S{max(map(len, self.names)) + 1}"
+        return self.dtype
+
+
+_INT = _Cell(np.int64, str)
+_REAL = _Cell(np.float64, "%.17g".__mod__)
+_TEXT = _Cell(object, _csv_quote)
+_BOOL = _Cell(np.bool_, names=("false", "true"))
+_ORDERING = _Cell(np.int8, names=tuple(o.value for o in ORDERINGS))
+_WITNESS = _Cell(np.int8, names=tuple(w.value for w in WITNESSES))
+
+# The cell of every report column; the two kinds share the names they share.
+_CELLS = {"delta": _INT, "Delta": _INT, "alpha": _REAL, "f": _REAL,
+          "g": _REAL, "diff": _REAL, "symbolic": _ORDERING,
+          "numeric": _ORDERING, "witness": _WITNESS, "consistent": _BOOL,
+          "graph_id": _TEXT, "n": _INT, "m": _INT, "lambda1": _REAL,
+          "f_holds": _BOOL, "g_holds": _BOOL, "g_equality": _BOOL,
+          "is_star": _BOOL, "is_connected": _BOOL}
 
 
 def _sweep_obj(r: SweepRecord) -> dict:
@@ -365,30 +480,43 @@ def _report_kind(records, kind: str | None) -> str:
     return kind
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
+def _report_columns(records, kind: str) -> tuple[tuple[str, ...], dict]:
+    """Column names and arrays of a report's records."""
+    if kind == "sweep":
+        return SWEEP_COLUMNS, SweepTable.from_records(records).columns
+    fields = list(zip(*records)) or [()] * len(VERIFICATION_COLUMNS)
+    return VERIFICATION_COLUMNS, {
+        name: np.array(values, dtype=_CELLS[name].dtype)
+        for name, values in zip(VERIFICATION_COLUMNS, fields)}
+
+
+def _csv_cells(column: np.ndarray, cell: _Cell) -> list[str]:
+    """The CSV text of each entry of a column; every distinct value is
+    formatted once."""
+    if cell.names:
+        return np.array(cell.names, dtype=object)[column.astype(np.intp)].tolist()
+    # Reals are told apart by their bits, so -0.0 keeps its own text.
+    real = column.dtype == np.float64
+    distinct, inverse = np.unique(column.view(np.int64) if real else column,
+                                  return_inverse=True)
+    if real:
+        distinct = distinct.view(np.float64)
+    texts = np.array([cell.text(v) for v in distinct.tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def render_report(records, format: str = "csv", kind: str | None = None) -> str:
-    """Records as CSV or JSON text; kind ('sweep'/'verification') is inferred
-    from the first record when present."""
+    """Records (a SweepTable or a sequence of records) as CSV or JSON text;
+    kind ('sweep'/'verification') is inferred from the first record when
+    present."""
     kind = _report_kind(records, kind)
-    columns = SWEEP_COLUMNS if kind == "sweep" else VERIFICATION_COLUMNS
-    to_obj = _sweep_obj if kind == "sweep" else _verification_obj
-    objs = [to_obj(r) for r in records]
     if format == "json":
-        return json.dumps(objs, indent=1) + "\n"
+        to_obj = _sweep_obj if kind == "sweep" else _verification_obj
+        return json.dumps([to_obj(r) for r in records], indent=1) + "\n"
     if format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        for o in objs:
-            w.writerow([_csv_cell(o[c]) for c in columns])
-        return buf.getvalue()
+        names, columns = _report_columns(records, kind)
+        cells = [_csv_cells(columns[name], _CELLS[name]) for name in names]
+        return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
     raise InputError(f"unknown report format {format!r}, expected csv or json")
 
 
@@ -402,26 +530,96 @@ def emit_report(records, format: str = "csv", path=None,
         fh.write(text)
 
 
-def parse_report(path) -> list:
-    """Read a report back into records; format and kind are inferred from
-    the content itself. The inverse of emit_report for both formats."""
+def _decode(column: np.ndarray, names: tuple[str, ...]):
+    """Position in names of each cell of a bytes column, or None when some
+    cell is not a name."""
+    order = np.argsort(names)
+    ordered = np.array(names, dtype=column.dtype)[order]
+    pos = np.searchsorted(ordered, column).clip(0, len(names) - 1)
+    if not np.array_equal(ordered[pos], column):
+        return None
+    return order[pos]
+
+
+def _cell_fits(cell: _Cell, text: str) -> bool:
+    if cell.names:
+        return text in cell.names
+    try:
+        np.array(text, dtype=cell.dtype)
+    except ValueError:
+        return False
+    return True
+
+
+def _malformed(text: str, header, reason) -> InputError:
+    """An InputError naming the first line of a CSV report that does not fit
+    its header. This rescans the text row by row, so it runs only after the
+    column-wise parse has failed."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    try:
+        for row in reader:
+            if not row:
+                continue  # np.loadtxt skips blank lines too
+            if len(row) != len(header):
+                return InputError(f"line {reader.line_num}: expected "
+                                  f"{len(header)} fields, found {len(row)}")
+            for name, cell in zip(header, row):
+                if not _cell_fits(_CELLS[name], cell):
+                    return InputError(
+                        f"line {reader.line_num}: bad {name} cell {cell!r}")
+    except csv.Error as exc:
+        return InputError(f"line {reader.line_num}: {exc}")
+    return InputError(f"malformed report: {reason}")
+
+
+def _csv_columns(text: str, header) -> dict:
+    """The columns of a CSV report whose first line is header, read by
+    np.loadtxt and decoded cell kind by cell kind."""
+    body = text.partition("\n")[2]
+    dtype = [(name, _CELLS[name].field) for name in header]
+    if not body.strip():  # header only; np.loadtxt would warn of no data
+        data = np.empty(0, dtype)
+    else:
+        try:
+            data = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
+                              quotechar='"', comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _malformed(text, header, exc) from None
+    columns = {}
+    for name in header:
+        cell, column = _CELLS[name], data[name]
+        if cell.names:
+            column = _decode(column, cell.names)
+            if column is None:
+                raise _malformed(text, header, f"unknown {name} cell")
+        columns[name] = np.ascontiguousarray(column, dtype=cell.dtype)
+    return columns
+
+
+def parse_report(path):
+    """Read a report back: a SweepTable for a sweep report, a list of
+    VerificationRecord otherwise, and [] for an empty JSON list. Format and
+    kind are inferred from the content itself; malformed CSV raises
+    InputError naming its first bad line. The inverse of emit_report for
+    both formats."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     if text.lstrip().startswith("["):
         objs = json.loads(text)
         if not objs:
             return []
-        from_obj = _obj_sweep if "delta" in objs[0] and "graph_id" not in objs[0] \
-            else _obj_verification
-        return [from_obj(o) for o in objs]
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+        if "delta" in objs[0] and "graph_id" not in objs[0]:
+            return SweepTable.from_records(map(_obj_sweep, objs))
+        return [_obj_verification(o) for o in objs]
+    header = next(csv.reader(io.StringIO(text)), None)
+    if header is None:
         return []
-    header = tuple(rows[0])
-    if header == SWEEP_COLUMNS:
-        from_obj = _obj_sweep
-    elif header == VERIFICATION_COLUMNS:
-        from_obj = _obj_verification
-    else:
+    header = tuple(header)
+    if header not in (SWEEP_COLUMNS, VERIFICATION_COLUMNS):
         raise InputError(f"unrecognized report header {header!r}")
-    return [from_obj(dict(zip(header, row))) for row in rows[1:]]
+    columns = _csv_columns(text, header)
+    if header == SWEEP_COLUMNS:
+        return SweepTable(columns)
+    return list(itertools.starmap(VerificationRecord, zip(
+        *(columns[name].tolist() for name in header))))

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from aalpha import (BoundComparison, BoundInputs, ConsistencyError,
-                    InputError, Ordering, Witness, bound_f, bound_g, classify,
-                    compare_numeric, numeric_ordering, sqrt_arg_identity)
+                    InputError, Ordering, Witness, bound_f, bound_g,
+                    build_alpha_matrix, classify, compare_numeric, gen_cycle,
+                    numeric_ordering, sqrt_arg_identity, verify_graph)
 
 mpmath.mp.dps = 50
 
@@ -180,6 +181,30 @@ def test_bound_inputs_type():
         BoundInputs(0, 3, -0.5, permissive=True)
     with pytest.raises(InputError):
         BoundInputs(1.0, 3, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: classify(2, 3, True),
+    lambda: classify(True, 3, 0.5),
+    lambda: bound_f(True, 3, 0.5),
+    lambda: bound_f(2, 3, np.True_),
+    lambda: bound_g(True, 0.5),
+    lambda: bound_g(3, False),
+    lambda: sqrt_arg_identity(np.True_, 0.5),
+    lambda: sqrt_arg_identity(3, True),
+    lambda: compare_numeric(2, True, 0.5),
+    lambda: BoundInputs(0, 3, True),
+    lambda: build_alpha_matrix(gen_cycle(4), True),
+    lambda: verify_graph(gen_cycle(4), [0.5, True]),
+], ids=["classify-alpha", "classify-delta", "bound_f-delta", "bound_f-alpha",
+        "bound_g-Delta", "bound_g-alpha", "sqrt_arg-Delta", "sqrt_arg-alpha",
+        "compare_numeric-Delta", "BoundInputs-alpha", "alpha_matrix-alpha",
+        "verify_graph-alpha"])
+def test_bool_is_not_a_degree_or_alpha(call):
+    """Every entry point shares one domain check, and it refuses a bool
+    rather than reading it as 0 or 1."""
+    with pytest.raises(InputError):
+        call()
 
 
 def test_permissive_bounds():

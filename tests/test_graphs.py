@@ -1,5 +1,7 @@
 """Graph construction, graph6 and edge-list formats, generators, predicates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,22 @@ def test_gen_random_matches_pair_order():
         gen_random(5, 1.5, 0)
     with pytest.raises(InputError):
         gen_random(-2, 0.5, 0)
+
+
+def test_gen_random_chunked_draw_memory_and_edges():
+    """G(2000, .01) spans 31 variate chunks: its peak traced memory stays
+    far below the 2e6 pair variates a single draw would hold (16 MB), and
+    its edges equal that single draw's."""
+    tracemalloc.start()
+    try:
+        g = gen_random(2000, 0.01, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+    iu, ju = np.triu_indices(2000, 1)
+    keep = np.random.default_rng(1).random(iu.size) < 0.01
+    assert g.edges == tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
 
 
 def test_add_isolated():

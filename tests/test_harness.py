@@ -1,19 +1,23 @@
 """Sweep, graph verification, star certification, and report round-trips."""
 
+import csv
+import io
 import json
 import math
+import warnings
 
 import pytest
 
 import aalpha.harness as harness_mod
 from aalpha import (ConvergenceError, EQUALITY_TOL, Graph, InputError,
-                    Ordering, STRICTNESS_ALPHAS, SweepRecord, SWEEP_COLUMNS,
-                    VERIFICATION_COLUMNS, VerificationRecord, Witness,
-                    add_isolated, bound_g, certify_star_equality, emit_report,
+                    Ordering, STRICTNESS_ALPHAS, SweepRecord, SweepTable,
+                    SWEEP_COLUMNS, VERIFICATION_COLUMNS, VerificationRecord,
+                    Witness, add_isolated, bound_f, bound_g,
+                    certify_star_equality, classify, emit_report,
                     gen_complete, gen_cycle, gen_random, gen_star,
-                    parse_report, random_campaign, render_report,
-                    summarize_sweep, sweep_grid, verification_violations,
-                    verify_graph)
+                    numeric_ordering, parse_report, random_campaign,
+                    render_report, summarize_sweep, sweep_grid,
+                    verification_violations, verify_graph)
 
 
 def test_sweep_grid_counts_and_order():
@@ -46,6 +50,40 @@ def test_sweep_grid_edgeless_row():
         want = Ordering.EQUAL if r.alpha == 0 else Ordering.LESS
         assert r.symbolic_ordering is want
         assert r.numeric_ordering is want
+
+
+def test_sweep_grid_matches_scalar_api():
+    """Every column of the array sweep equals the scalar API bit for bit at
+    every point, with full-mantissa alphas (k/13)."""
+    table = sweep_grid(4, 9, 13)
+    assert isinstance(table, SweepTable)
+    assert len(table) == sum(9 - d + 1 for d in range(5)) * 14
+    for r in table:
+        assert type(r.delta) is int and type(r.alpha) is float
+        assert type(r.consistent) is bool
+        f = bound_f(r.delta, r.Delta, r.alpha)
+        g = bound_g(r.Delta, r.alpha)
+        assert (r.f_value, r.g_value, r.difference) == (f, g, f - g)
+        assert (r.symbolic_ordering, r.witness) == \
+            classify(r.delta, r.Delta, r.alpha)
+        assert r.numeric_ordering is numeric_ordering(f, g)
+        assert r.consistent is (r.symbolic_ordering is r.numeric_ordering)
+
+
+def test_sweep_table_reads_as_records():
+    table = sweep_grid(2, 3, 4)
+    records = list(table)
+    assert table == records and records == table and table == tuple(records)
+    assert table == SweepTable.from_records(records)
+    assert table != records[:-1] and table != sweep_grid(2, 3, 5)
+    assert table[0] == records[0] and table[-1] == records[-1]
+    assert table[3:7] == records[3:7] and isinstance(table[3:7], SweepTable)
+    with pytest.raises(IndexError):
+        table[len(records)]
+    assert table[:0] == [] and [] == table[:0]
+    assert summarize_sweep(records) == summarize_sweep(table)
+    with pytest.raises(InputError):
+        SweepTable.from_records(verify_graph(gen_star(3), [0.5]))
 
 
 def test_sweep_grid_validation():
@@ -245,6 +283,66 @@ def test_report_empty_and_errors(tmp_path):
         parse_report(bad)
     with pytest.raises(InputError):
         emit_report(sweep_grid(0, 0, 1), "csv", None)
+
+
+def _csv_writer_reference(records, columns):
+    """CSV text written one record at a time by csv.writer."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            return "%.17g" % v
+        return getattr(v, "value", v)
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows([cell(v) for v in r] for r in records)
+    return buf.getvalue()
+
+
+def test_csv_report_bytes_match_csv_writer():
+    sweep = sweep_grid(2, 4, 7)
+    hand = [SweepRecord(2, 3, 1 / 3, math.sqrt(2), math.pi / 3, -0.0,
+                        Ordering.GREATER, Ordering.EQUAL,
+                        Witness.INTERIOR_GREATER, False)] + list(sweep)[:5]
+    for records in (sweep, list(sweep), hand):
+        assert render_report(records, "csv") == \
+            _csv_writer_reference(records, SWEEP_COLUMNS)
+    verif = verify_graph(gen_random(4, 0.5, 0), [0.0, 1 / 3],
+                         graph_id="random:4,0.5,0")
+    verif += verify_graph(gen_star(3), [0.5], graph_id='say "hi"')
+    verif += verify_graph(gen_cycle(4), [0.5], graph_id="")
+    assert render_report(verif, "csv") == \
+        _csv_writer_reference(verif, VERIFICATION_COLUMNS)
+
+
+def _write(tmp_path, lines):
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_parse_report_short_row_names_line(tmp_path):
+    lines = render_report(sweep_grid(1, 1, 2), "csv").splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    with pytest.raises(InputError, match="line 4: expected 10 fields"):
+        parse_report(_write(tmp_path, lines))
+
+
+def test_parse_report_unknown_ordering_names_line(tmp_path):
+    lines = render_report(sweep_grid(1, 1, 2), "csv").splitlines()
+    lines[6] = lines[6].replace(",Equal,", ",Equals,", 1)
+    with pytest.raises(InputError, match="line 7: bad symbolic cell 'Equals'"):
+        parse_report(_write(tmp_path, lines))
+
+
+def test_parse_report_header_only(tmp_path):
+    for columns in (SWEEP_COLUMNS, VERIFICATION_COLUMNS):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = parse_report(_write(tmp_path, [",".join(columns)]))
+        assert back == [] and len(back) == 0
 
 
 def test_report_preserves_full_precision(tmp_path):
