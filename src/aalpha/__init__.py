@@ -5,8 +5,8 @@ solvers, and verification campaigns that test every claim numerically.
 """
 
 from .alpha_matrix import AlphaMatrix, build_alpha_matrix, matrix_csv, matvec
-from .bounds import (DEFAULT_EPSILON, BoundComparison, BoundInputs, Ordering,
-                     Witness, bound_f, bound_g, classify, compare_numeric,
+from .bounds import (DEFAULT_EPSILON, BoundComparison, Ordering, Witness,
+                     bound_f, bound_g, classify, compare_numeric,
                      numeric_ordering, sqrt_arg_identity)
 from .errors import (ConsistencyError, ConvergenceError, InputError,
                      ParseError, UnsupportedSizeError)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaMatrix", "build_alpha_matrix", "matrix_csv", "matvec",
-    "BoundComparison", "BoundInputs", "Ordering", "Witness",
+    "BoundComparison", "Ordering", "Witness",
     "bound_f", "bound_g", "classify", "compare_numeric", "numeric_ordering",
     "sqrt_arg_identity", "DEFAULT_EPSILON",
     "ConsistencyError", "ConvergenceError", "InputError", "ParseError",

@@ -99,25 +99,6 @@ def check_alpha(alpha, permissive: bool = False) -> float:
 
 
 @dataclass(frozen=True)
-class BoundInputs:
-    """Validated (delta, Delta, alpha) argument triple: degrees are integers
-    with 0 <= delta <= Delta, alpha lies in [0, 1] (or just alpha >= 0 when
-    permissive)."""
-
-    delta: int
-    Delta: int
-    alpha: float
-    permissive: bool = False
-
-    def __post_init__(self):
-        d, dd = check_degrees(self.delta, self.Delta)
-        object.__setattr__(self, "delta", d)
-        object.__setattr__(self, "Delta", dd)
-        object.__setattr__(self, "alpha",
-                           check_alpha(self.alpha, self.permissive))
-
-
-@dataclass(frozen=True)
 class BoundComparison:
     """f and g at one point together with the agreed ordering."""
 

@@ -108,16 +108,14 @@ def _cmd_eval(args) -> int:
         # Outside the proven trichotomy: report values, refuse to classify.
         f = bound_f(args.delta, args.Delta, args.alpha, permissive=True)
         g = bound_g(args.Delta, args.alpha, permissive=True)
-        fields = [("delta", args.delta), ("Delta", args.Delta),
-                  ("alpha", args.alpha), ("f", f), ("g", g), ("diff", f - g),
-                  ("ordering", "unclassified"), ("witness", "unclassified")]
+        ordering = witness = "unclassified"
     else:
         comp = compare_numeric(args.delta, args.Delta, args.alpha)
-        fields = [("delta", args.delta), ("Delta", args.Delta),
-                  ("alpha", args.alpha), ("f", comp.f_value),
-                  ("g", comp.g_value), ("diff", comp.difference),
-                  ("ordering", comp.ordering.value),
-                  ("witness", comp.witness.value)]
+        f, g = comp.f_value, comp.g_value
+        ordering, witness = comp.ordering.value, comp.witness.value
+    fields = [("delta", args.delta), ("Delta", args.Delta),
+              ("alpha", args.alpha), ("f", f), ("g", g), ("diff", f - g),
+              ("ordering", ordering), ("witness", witness)]
     if args.json:
         print(json.dumps(dict(fields)))
     else:

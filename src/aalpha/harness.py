@@ -14,7 +14,10 @@ A sweep comes back as a SweepTable: one numpy array per report column, with
 orderings and witnesses as small integer codes, which still reads as a
 sequence of SweepRecord tuples. Graph checks are lists of VerificationRecord
 tuples. emit_report and parse_report round-trip both through CSV or JSON
-without precision loss; CSV is written and read a whole column at a time.
+without precision loss, by way of the column arrays of one schema, _CELLS;
+CSV quotes a graph_id holding a comma, a quote, a carriage return or a line
+feed. A malformed report raises InputError naming its first bad CSV line, or
+its first bad JSON record (the line and column of text that is not JSON).
 """
 
 import csv
@@ -27,9 +30,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .alpha_matrix import build_alpha_matrix
-from .bounds import (DEFAULT_EPSILON, ORDERINGS, WITNESSES, Ordering, Witness,
-                     _classify_codes, _f_kernel, _g_kernel, _numeric_code,
-                     check_alpha)
+from .bounds import (_BOOLS, DEFAULT_EPSILON, ORDERINGS, WITNESSES, Ordering,
+                     Witness, _classify_codes, _f_kernel, _g_kernel,
+                     _numeric_code, check_alpha)
 from .errors import ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, degree_profile, emit_graph6,
                      from_edge_list, gen_complete, gen_cycle, gen_random,
@@ -67,10 +70,6 @@ class SweepSummary(NamedTuple):
     inconsistent: int
 
 
-# Coded sweep columns and the enum members their codes stand for.
-_MEMBERS = {"symbolic": ORDERINGS, "numeric": ORDERINGS, "witness": WITNESSES}
-
-
 class SweepTable:
     """Sweep records stored column by column.
 
@@ -101,24 +100,13 @@ class SweepTable:
         """The table of any iterable of SweepRecord; a table comes back as is."""
         if isinstance(records, cls):
             return records
-        fields = list(zip(*records)) or [()] * len(SWEEP_COLUMNS)
-        if len(fields) != len(SWEEP_COLUMNS):
-            raise InputError(f"sweep records have {len(SWEEP_COLUMNS)} "
-                             f"fields, got {len(fields)}")
-        columns = dict(zip(SWEEP_COLUMNS, fields))
-        for name, members in _MEMBERS.items():
-            columns[name] = list(map(members.index, columns[name]))
-        return cls(columns)
+        return cls(_columns(records, SWEEP_COLUMNS))
 
     def __len__(self) -> int:
         return len(self.columns["delta"])
 
     def __iter__(self):
-        cols = self.columns
-        return itertools.starmap(SweepRecord, zip(*(
-            map(_MEMBERS[name].__getitem__, cols[name].tolist())
-            if name in _MEMBERS else cols[name].tolist()
-            for name in SWEEP_COLUMNS)))
+        return _records(self.columns, SWEEP_COLUMNS, SweepRecord)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -172,6 +160,20 @@ class StarCertification(NamedTuple):
     passed: bool
 
 
+def _check_limit(name: str, value, low: int) -> int:
+    """The one check for a campaign's size limits: an integer (a bool is
+    refused, not read as 0 or 1) of at least low."""
+    try:
+        if isinstance(value, _BOOLS):
+            raise TypeError("a bool is not a limit")
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def sweep_grid(delta_max: int, Delta_max: int,
                alpha_steps: int) -> SweepTable:
     """Every (delta, Delta, alpha) with 0 <= delta <= min(Delta, delta_max),
@@ -184,17 +186,9 @@ def sweep_grid(delta_max: int, Delta_max: int,
     columns come from the same kernels as bound_f, bound_g, classify and
     numeric_ordering, run over whole arrays, and equal them bit for bit.
     """
-    try:
-        delta_max = operator.index(delta_max)
-        Delta_max = operator.index(Delta_max)
-        alpha_steps = operator.index(alpha_steps)
-    except TypeError:
-        raise InputError("sweep limits must be integers")
-    if not 0 <= delta_max <= Delta_max:
-        raise InputError(
-            f"need 0 <= delta_max <= Delta_max, got ({delta_max}, {Delta_max})")
-    if alpha_steps < 1:
-        raise InputError(f"alpha_steps must be >= 1, got {alpha_steps}")
+    delta_max = _check_limit("delta_max", delta_max, 0)
+    Delta_max = _check_limit("Delta_max", Delta_max, delta_max)
+    alpha_steps = _check_limit("alpha_steps", alpha_steps, 1)
     # The upper triangle of the (delta_max+1) x (Delta_max+1) index grid, in
     # row-major order, is exactly the (delta, Delta) pairs in sweep order.
     delta, Delta = np.triu_indices(delta_max + 1, 0, Delta_max + 1)
@@ -326,15 +320,8 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     graph. method None means the spectral_radius dispatcher, which solves
     these small matrices with LAPACK; "jacobi" or "power" force an oracle.
     """
-    try:
-        Delta_max = operator.index(Delta_max)
-        alpha_steps = operator.index(alpha_steps)
-    except TypeError:
-        raise InputError("certification limits must be integers")
-    if Delta_max < 1:
-        raise InputError(f"Delta_max must be >= 1, got {Delta_max}")
-    if alpha_steps < 1:
-        raise InputError(f"alpha_steps must be >= 1, got {alpha_steps}")
+    Delta_max = _check_limit("Delta_max", Delta_max, 1)
+    alpha_steps = _check_limit("alpha_steps", alpha_steps, 1)
     alphas = [k / alpha_steps for k in range(alpha_steps + 1)]
     failures = []
     eq_checks = 0
@@ -371,8 +358,9 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
 #
 # CSV is the canonical artifact (fixed column order, reals at %.17g which
 # round-trips float64 exactly, booleans as true/false, csv.writer quoting);
-# JSON mirrors the same column names with native types. CSV is written and
-# read a whole column at a time, for both report kinds.
+# JSON holds the same columns with native types. _CELLS is the one statement
+# of the schema: records, CSV text and JSON objects of both report kinds all
+# pass through the column arrays it describes.
 # ---------------------------------------------------------------------------
 
 SWEEP_COLUMNS = ("delta", "Delta", "alpha", "f", "g", "diff", "symbolic",
@@ -383,21 +371,34 @@ VERIFICATION_COLUMNS = ("graph_id", "n", "m", "Delta", "delta", "alpha",
 
 
 def _csv_quote(text: str) -> str:
-    # csv.writer's own quoting of one field; the empty second field keeps a
-    # lone empty value from being written as "".
+    # csv.writer's own quoting of one field. A field holding a character of
+    # the line terminator is quoted, so "\r\n" quotes both; the empty second
+    # field keeps a lone empty value from being written as "".
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
+    return buf.getvalue()[:-3]
 
 
 class _Cell(NamedTuple):
-    """How one report column is held and written. A coded column holds, for
-    each entry, the position of its text in ``names``; any other column
-    writes each value with ``text``. ``dtype`` is the in-memory dtype."""
+    """How one report column is held, written and read.
+
+    ``dtype`` is the in-memory dtype and ``json_types`` the types its JSON
+    values may have. A coded column holds, for each entry, the position of
+    its record value in ``members``; at that position ``names`` has its CSV
+    text and ``json_values`` its JSON value. Any other column holds record
+    values as they are and writes each in CSV with ``text``.
+    """
 
     dtype: object
+    json_types: tuple[type, ...]
     text: Callable | None = None
+    members: tuple = ()
     names: tuple[str, ...] = ()
+
+    @property
+    def json_values(self) -> tuple:
+        """An enum member is written as its value, a bool as itself."""
+        return tuple(getattr(m, "value", m) for m in self.members)
 
     @property
     def field(self):
@@ -409,12 +410,15 @@ class _Cell(NamedTuple):
         return self.dtype
 
 
-_INT = _Cell(np.int64, str)
-_REAL = _Cell(np.float64, "%.17g".__mod__)
-_TEXT = _Cell(object, _csv_quote)
-_BOOL = _Cell(np.bool_, names=("false", "true"))
-_ORDERING = _Cell(np.int8, names=tuple(o.value for o in ORDERINGS))
-_WITNESS = _Cell(np.int8, names=tuple(w.value for w in WITNESSES))
+_INT = _Cell(np.int64, (int,), str)
+_REAL = _Cell(np.float64, (float, int), "%.17g".__mod__)
+_TEXT = _Cell(object, (str,), _csv_quote)
+_BOOL = _Cell(np.bool_, (bool,), members=(False, True),
+              names=("false", "true"))
+_ORDERING = _Cell(np.int8, (str,), members=ORDERINGS,
+                  names=tuple(o.value for o in ORDERINGS))
+_WITNESS = _Cell(np.int8, (str,), members=WITNESSES,
+                 names=tuple(w.value for w in WITNESSES))
 
 # The cell of every report column; the two kinds share the names they share.
 _CELLS = {"delta": _INT, "Delta": _INT, "alpha": _REAL, "f": _REAL,
@@ -425,83 +429,55 @@ _CELLS = {"delta": _INT, "Delta": _INT, "alpha": _REAL, "f": _REAL,
           "is_star": _BOOL, "is_connected": _BOOL}
 
 
-def _sweep_obj(r: SweepRecord) -> dict:
-    return {"delta": r.delta, "Delta": r.Delta, "alpha": r.alpha,
-            "f": r.f_value, "g": r.g_value, "diff": r.difference,
-            "symbolic": r.symbolic_ordering.value,
-            "numeric": r.numeric_ordering.value,
-            "witness": r.witness.value, "consistent": r.consistent}
+def _encode(values, cell: _Cell, keys: tuple) -> np.ndarray:
+    """The column array of a sequence of values. A coded column's values
+    are looked up in keys: its members, names or JSON values."""
+    if keys:
+        values = list(map({k: i for i, k in enumerate(keys)}.__getitem__,
+                          values))
+    return np.array(values, dtype=cell.dtype)
 
 
-def _verification_obj(r: VerificationRecord) -> dict:
-    return {"graph_id": r.graph_id, "n": r.n, "m": r.edge_count,
-            "Delta": r.Delta, "delta": r.delta, "alpha": r.alpha,
-            "lambda1": r.lambda1, "f": r.f_value, "g": r.g_value,
-            "f_holds": r.f_holds, "g_holds": r.g_holds,
-            "g_equality": r.g_equality, "is_star": r.is_star,
-            "is_connected": r.is_connected}
+def _values(column: np.ndarray, keys: tuple) -> list:
+    """The entries of a column array as Python values; the codes of a coded
+    column are read through keys in one array lookup."""
+    if not keys:
+        return column.tolist()
+    return np.array(keys, dtype=object)[column.astype(np.intp)].tolist()
 
 
-def _to_bool(v) -> bool:
-    if isinstance(v, bool):
-        return v
-    if v == "true":
-        return True
-    if v == "false":
-        return False
-    raise InputError(f"expected a boolean, got {v!r}")
+def _columns(records, names) -> dict:
+    """The column arrays of a sequence of records whose fields are the
+    columns names, in order; a SweepTable gives its own."""
+    if isinstance(records, SweepTable) and names == SWEEP_COLUMNS:
+        return records.columns
+    fields = list(zip(*records)) or [()] * len(names)
+    if len(fields) != len(names):
+        raise InputError(f"report records have {len(names)} fields, "
+                         f"got {len(fields)}")
+    return {name: _encode(values, _CELLS[name], _CELLS[name].members)
+            for name, values in zip(names, fields)}
 
 
-def _obj_sweep(d: dict) -> SweepRecord:
-    return SweepRecord(int(d["delta"]), int(d["Delta"]), float(d["alpha"]),
-                       float(d["f"]), float(d["g"]), float(d["diff"]),
-                       Ordering(d["symbolic"]), Ordering(d["numeric"]),
-                       Witness(d["witness"]), _to_bool(d["consistent"]))
+def _records(columns: dict, names, record):
+    """The records, of NamedTuple type record, that column arrays hold."""
+    return itertools.starmap(record, zip(*(
+        _values(columns[name], _CELLS[name].members) for name in names)))
 
 
-def _obj_verification(d: dict) -> VerificationRecord:
-    return VerificationRecord(str(d["graph_id"]), int(d["n"]), int(d["m"]),
-                              int(d["Delta"]), int(d["delta"]),
-                              float(d["alpha"]), float(d["lambda1"]),
-                              float(d["f"]), float(d["g"]),
-                              _to_bool(d["f_holds"]), _to_bool(d["g_holds"]),
-                              _to_bool(d["g_equality"]),
-                              _to_bool(d["is_star"]),
-                              _to_bool(d["is_connected"]))
-
-
-def _report_kind(records, kind: str | None) -> str:
-    if kind is None:
-        if not records:
-            raise InputError("empty record list needs an explicit kind")
-        kind = "sweep" if isinstance(records[0], SweepRecord) else "verification"
-    if kind not in ("sweep", "verification"):
-        raise InputError(f"unknown report kind {kind!r}")
-    return kind
-
-
-def _report_columns(records, kind: str) -> tuple[tuple[str, ...], dict]:
-    """Column names and arrays of a report's records."""
-    if kind == "sweep":
-        return SWEEP_COLUMNS, SweepTable.from_records(records).columns
-    fields = list(zip(*records)) or [()] * len(VERIFICATION_COLUMNS)
-    return VERIFICATION_COLUMNS, {
-        name: np.array(values, dtype=_CELLS[name].dtype)
-        for name, values in zip(VERIFICATION_COLUMNS, fields)}
-
-
-def _csv_cells(column: np.ndarray, cell: _Cell) -> list[str]:
-    """The CSV text of each entry of a column; every distinct value is
-    formatted once."""
-    if cell.names:
-        return np.array(cell.names, dtype=object)[column.astype(np.intp)].tolist()
+def _texts(column: np.ndarray, text: Callable, names: tuple) -> list[str]:
+    """The text of each entry of a column: a coded column's is picked from
+    names, any other's is text(value), with every distinct value formatted
+    once."""
+    if names:
+        return _values(column, names)
     # Reals are told apart by their bits, so -0.0 keeps its own text.
     real = column.dtype == np.float64
     distinct, inverse = np.unique(column.view(np.int64) if real else column,
                                   return_inverse=True)
     if real:
         distinct = distinct.view(np.float64)
-    texts = np.array([cell.text(v) for v in distinct.tolist()], dtype=object)
+    texts = np.array([text(v) for v in distinct.tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
@@ -509,15 +485,27 @@ def render_report(records, format: str = "csv", kind: str | None = None) -> str:
     """Records (a SweepTable or a sequence of records) as CSV or JSON text;
     kind ('sweep'/'verification') is inferred from the first record when
     present."""
-    kind = _report_kind(records, kind)
+    if kind is None and records:
+        kind = "sweep" if isinstance(records[0], SweepRecord) else "verification"
+    names = {"sweep": SWEEP_COLUMNS,
+             "verification": VERIFICATION_COLUMNS}.get(kind)
+    if names is None:
+        raise InputError(f"unknown report kind {kind!r}, expected sweep or "
+                         "verification (no records to infer it from)")
+    if format not in ("csv", "json"):
+        raise InputError(f"unknown report format {format!r}, expected csv or json")
+    columns = _columns(records, names)
     if format == "json":
-        to_obj = _sweep_obj if kind == "sweep" else _verification_obj
-        return json.dumps([to_obj(r) for r in records], indent=1) + "\n"
-    if format == "csv":
-        names, columns = _report_columns(records, kind)
-        cells = [_csv_cells(columns[name], _CELLS[name]) for name in names]
-        return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
-    raise InputError(f"unknown report format {format!r}, expected csv or json")
+        # json.dumps(rows, indent=1), written a column at a time.
+        cells = [_texts(columns[name], json.dumps, tuple(
+            map(json.dumps, _CELLS[name].json_values))) for name in names]
+        row = " {\n" + ",\n".join(f"  {json.dumps(name)}: %s"
+                                   for name in names) + "\n }"
+        rows = ",\n".join(row % values for values in zip(*cells))
+        return f"[\n{rows}\n]\n" if rows else "[]\n"
+    cells = [_texts(columns[name], _CELLS[name].text, _CELLS[name].names)
+             for name in names]
+    return "\n".join([",".join(names), *map(",".join, zip(*cells))]) + "\n"
 
 
 def emit_report(records, format: str = "csv", path=None,
@@ -526,7 +514,7 @@ def emit_report(records, format: str = "csv", path=None,
     if path is None:
         raise InputError("emit_report needs a destination path")
     text = render_report(records, format, kind)
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
 
 
@@ -541,12 +529,14 @@ def _decode(column: np.ndarray, names: tuple[str, ...]):
     return order[pos]
 
 
-def _cell_fits(cell: _Cell, text: str) -> bool:
-    if cell.names:
-        return text in cell.names
+def _fits(cell: _Cell, value, keys: tuple) -> bool:
+    """Whether a CSV cell or a JSON value can stand in a column: one of keys
+    for a coded column, and convertible to its dtype for any other."""
+    if keys:
+        return value in keys
     try:
-        np.array(text, dtype=cell.dtype)
-    except ValueError:
+        np.array(value, dtype=cell.dtype)
+    except (ValueError, OverflowError):
         return False
     return True
 
@@ -565,7 +555,7 @@ def _malformed(text: str, header, reason) -> InputError:
                 return InputError(f"line {reader.line_num}: expected "
                                   f"{len(header)} fields, found {len(row)}")
             for name, cell in zip(header, row):
-                if not _cell_fits(_CELLS[name], cell):
+                if not _fits(_CELLS[name], cell, _CELLS[name].names):
                     return InputError(
                         f"line {reader.line_num}: bad {name} cell {cell!r}")
     except csv.Error as exc:
@@ -573,9 +563,13 @@ def _malformed(text: str, header, reason) -> InputError:
     return InputError(f"malformed report: {reason}")
 
 
-def _csv_columns(text: str, header) -> dict:
-    """The columns of a CSV report whose first line is header, read by
-    np.loadtxt and decoded cell kind by cell kind."""
+def _csv_columns(text: str) -> tuple[tuple[str, ...], dict]:
+    """The header and columns of a CSV report, read by np.loadtxt and
+    decoded cell kind by cell kind; an empty file is an empty verification
+    report."""
+    header = tuple(next(csv.reader(io.StringIO(text)), VERIFICATION_COLUMNS))
+    if header not in (SWEEP_COLUMNS, VERIFICATION_COLUMNS):
+        raise InputError(f"unrecognized report header {header!r}")
     body = text.partition("\n")[2]
     dtype = [(name, _CELLS[name].field) for name in header]
     if not body.strip():  # header only; np.loadtxt would warn of no data
@@ -584,7 +578,7 @@ def _csv_columns(text: str, header) -> dict:
         try:
             data = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
                               quotechar='"', comments=None, ndmin=1)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise _malformed(text, header, exc) from None
     columns = {}
     for name in header:
@@ -594,32 +588,52 @@ def _csv_columns(text: str, header) -> dict:
             if column is None:
                 raise _malformed(text, header, f"unknown {name} cell")
         columns[name] = np.ascontiguousarray(column, dtype=cell.dtype)
-    return columns
+    return header, columns
+
+
+def _json_columns(text: str) -> tuple[tuple[str, ...], dict]:
+    """The header and columns of a JSON report; the kind is read off the
+    first record, and an empty list is an empty verification report."""
+    try:
+        objs = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON report: {exc}") from None
+    sweep = objs and isinstance(objs[0], dict) and "graph_id" not in objs[0]
+    header = SWEEP_COLUMNS if sweep else VERIFICATION_COLUMNS
+    fields = set(header)
+    for i, obj in enumerate(objs):
+        if not isinstance(obj, dict):
+            raise InputError(f"record {i}: expected an object, got {obj!r}")
+        if not fields <= obj.keys():
+            missing = [name for name in header if name not in obj]
+            raise InputError(f"record {i}: missing {', '.join(missing)}")
+    columns = {}
+    for name in header:
+        cell, values = _CELLS[name], [obj[name] for obj in objs]
+        keys = cell.json_values
+        try:
+            if not set(map(type, values)) <= set(cell.json_types) or (
+                    keys and not set(values) <= set(keys)):
+                raise ValueError(name)
+            columns[name] = _encode(values, cell, keys)
+        except (ValueError, OverflowError):
+            i, v = next((i, v) for i, v in enumerate(values) if not (
+                type(v) in cell.json_types and _fits(cell, v, keys)))
+            raise InputError(f"record {i}: bad {name} value {v!r}") from None
+    return header, columns
 
 
 def parse_report(path):
     """Read a report back: a SweepTable for a sweep report, a list of
-    VerificationRecord otherwise, and [] for an empty JSON list. Format and
-    kind are inferred from the content itself; malformed CSV raises
-    InputError naming its first bad line. The inverse of emit_report for
-    both formats."""
-    with open(path, "r", encoding="ascii") as fh:
+    VerificationRecord otherwise, and [] for an empty file or JSON list.
+    Format and kind are inferred from the content itself. Both formats are
+    read into the columns that _CELLS describes; malformed CSV raises
+    InputError naming its first bad line, malformed JSON naming its first
+    bad record. The inverse of emit_report for both formats."""
+    with open(path, "r", encoding="ascii", newline="") as fh:
         text = fh.read()
-    if text.lstrip().startswith("["):
-        objs = json.loads(text)
-        if not objs:
-            return []
-        if "delta" in objs[0] and "graph_id" not in objs[0]:
-            return SweepTable.from_records(map(_obj_sweep, objs))
-        return [_obj_verification(o) for o in objs]
-    header = next(csv.reader(io.StringIO(text)), None)
-    if header is None:
-        return []
-    header = tuple(header)
-    if header not in (SWEEP_COLUMNS, VERIFICATION_COLUMNS):
-        raise InputError(f"unrecognized report header {header!r}")
-    columns = _csv_columns(text, header)
+    json_text = text.lstrip().startswith("[")
+    header, columns = (_json_columns if json_text else _csv_columns)(text)
     if header == SWEEP_COLUMNS:
         return SweepTable(columns)
-    return list(itertools.starmap(VerificationRecord, zip(
-        *(columns[name].tolist() for name in header))))
+    return list(_records(columns, header, VerificationRecord))

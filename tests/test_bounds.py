@@ -11,10 +11,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from aalpha import (BoundComparison, BoundInputs, ConsistencyError,
-                    InputError, Ordering, Witness, bound_f, bound_g,
-                    build_alpha_matrix, classify, compare_numeric, gen_cycle,
-                    numeric_ordering, sqrt_arg_identity, verify_graph)
+from aalpha import (BoundComparison, ConsistencyError, InputError, Ordering,
+                    Witness, bound_f, bound_g, build_alpha_matrix,
+                    certify_star_equality, classify, compare_numeric,
+                    gen_cycle, numeric_ordering, sqrt_arg_identity,
+                    sweep_grid, verify_graph)
 
 mpmath.mp.dps = 50
 
@@ -171,18 +172,6 @@ def test_classify_domain():
         classify(0, 2, float("nan"))
 
 
-def test_bound_inputs_type():
-    v = BoundInputs(np.int64(2), np.int64(5), 0.5)
-    assert v.delta == 2 and isinstance(v.delta, int)
-    assert BoundInputs(0, 3, 1.5, permissive=True).alpha == 1.5
-    with pytest.raises(InputError):
-        BoundInputs(0, 3, 1.5)
-    with pytest.raises(InputError):
-        BoundInputs(0, 3, -0.5, permissive=True)
-    with pytest.raises(InputError):
-        BoundInputs(1.0, 3, 0.5)
-
-
 @pytest.mark.parametrize("call", [
     lambda: classify(2, 3, True),
     lambda: classify(True, 3, 0.5),
@@ -193,16 +182,17 @@ def test_bound_inputs_type():
     lambda: sqrt_arg_identity(np.True_, 0.5),
     lambda: sqrt_arg_identity(3, True),
     lambda: compare_numeric(2, True, 0.5),
-    lambda: BoundInputs(0, 3, True),
     lambda: build_alpha_matrix(gen_cycle(4), True),
     lambda: verify_graph(gen_cycle(4), [0.5, True]),
+    lambda: sweep_grid(True, True, True),
+    lambda: certify_star_equality(True, True),
 ], ids=["classify-alpha", "classify-delta", "bound_f-delta", "bound_f-alpha",
         "bound_g-Delta", "bound_g-alpha", "sqrt_arg-Delta", "sqrt_arg-alpha",
-        "compare_numeric-Delta", "BoundInputs-alpha", "alpha_matrix-alpha",
-        "verify_graph-alpha"])
+        "compare_numeric-Delta", "alpha_matrix-alpha", "verify_graph-alpha",
+        "sweep_grid-limits", "certify-limits"])
 def test_bool_is_not_a_degree_or_alpha(call):
-    """Every entry point shares one domain check, and it refuses a bool
-    rather than reading it as 0 or 1."""
+    """Every entry point shares one domain check (one limit check for the
+    campaigns), and it refuses a bool rather than reading it as 0 or 1."""
     with pytest.raises(InputError):
         call()
 

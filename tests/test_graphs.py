@@ -30,6 +30,16 @@ def test_graph_rejects_bad_edges():
         Graph(3, ((0, 1), (0, 1)))
     with pytest.raises(InputError):
         Graph(-1, ())
+    with pytest.raises(InputError):
+        Graph(3, ((0.5, 1),))  # endpoints must be integers
+    with pytest.raises(InputError):
+        Graph(3, ((False, True),))  # a bool is not a vertex
+    with pytest.raises(InputError):
+        Graph(2.5, ((0, 1),))
+    with pytest.raises(InputError):
+        Graph(True, ())
+    with pytest.raises(InputError):
+        from_edge_list(3, [(2, 0.5)])
 
 
 def test_from_edge_list_normalizes():

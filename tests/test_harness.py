@@ -317,6 +317,75 @@ def test_csv_report_bytes_match_csv_writer():
         _csv_writer_reference(verif, VERIFICATION_COLUMNS)
 
 
+def _json_reference(records, columns):
+    """JSON text built record by record with json.dumps."""
+    return json.dumps([{name: getattr(v, "value", v)
+                        for name, v in zip(columns, r)} for r in records],
+                      indent=1) + "\n"
+
+
+def test_json_report_bytes_match_json_dumps():
+    sweep = sweep_grid(2, 4, 7)
+    for records in (sweep, list(sweep)):
+        assert render_report(records, "json") == \
+            _json_reference(records, SWEEP_COLUMNS)
+    verif = verify_graph(gen_random(4, 0.5, 0), [0.0, 1 / 3],
+                         graph_id="random:4,0.5,0")
+    for gid in ('say "hi"', "", "tab\there", "back\\slash", "a\r\nb"):
+        verif += verify_graph(gen_cycle(4), [0.5], graph_id=gid)
+    assert render_report(verif, "json") == \
+        _json_reference(verif, VERIFICATION_COLUMNS)
+
+
+def test_csv_graph_id_line_breaks_round_trip(tmp_path):
+    records = []
+    for gid in ("a\rb", "a\r\nb", "a\nb", "a,b\r"):
+        records += verify_graph(gen_star(3), [0.5], graph_id=gid)
+    path = tmp_path / "v.csv"
+    emit_report(records, "csv", path)
+    assert parse_report(path) == records
+    # A report whose lines end in CRLF reads the same.
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(render_report(sweep_grid(1, 2, 3), "csv")
+                     .replace("\n", "\r\n").encode())
+    assert parse_report(crlf) == sweep_grid(1, 2, 3)
+
+
+@pytest.mark.parametrize("records, change, message", [
+    (sweep_grid(1, 1, 2), lambda objs: objs[2].pop("f"),
+     "record 2: missing f"),
+    (sweep_grid(1, 1, 2), lambda objs: objs[1].update(symbolic="Bigger"),
+     "record 1: bad symbolic value 'Bigger'"),
+    (sweep_grid(1, 1, 2), lambda objs: objs.insert(3, [1, 2]),
+     r"record 3: expected an object, got \[1, 2\]"),
+    (verify_graph(gen_cycle(4), [0.0, 0.5]),
+     lambda objs: objs[1].update(n=4.5), "record 1: bad n value 4.5"),
+    (verify_graph(gen_cycle(4), [0.0, 0.5]),
+     lambda objs: objs[0].update(m=True), "record 0: bad m value True"),
+    (verify_graph(gen_cycle(4), [0.0, 0.5]),
+     lambda objs: objs[1].update(n=2 ** 63), "record 1: bad n value 9223"),
+    (verify_graph(gen_cycle(4), [0.0, 0.5]),
+     lambda objs: objs[1].update(is_star="false"),
+     "record 1: bad is_star value 'false'"),
+], ids=["missing-field", "unknown-ordering", "not-an-object", "float-count",
+        "bool-count", "huge-count", "string-bool"])
+def test_parse_json_report_names_bad_record(tmp_path, records, change,
+                                             message):
+    objs = json.loads(render_report(records, "json"))
+    change(objs)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(objs, indent=1))
+    with pytest.raises(InputError, match=message):
+        parse_report(path)
+
+
+def test_parse_json_report_invalid_json_names_position(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text(render_report(sweep_grid(1, 1, 2), "json")[:-40])
+    with pytest.raises(InputError, match=r"line \d+ column \d+"):
+        parse_report(path)
+
+
 def _write(tmp_path, lines):
     path = tmp_path / "r.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -334,6 +403,14 @@ def test_parse_report_unknown_ordering_names_line(tmp_path):
     lines = render_report(sweep_grid(1, 1, 2), "csv").splitlines()
     lines[6] = lines[6].replace(",Equal,", ",Equals,", 1)
     with pytest.raises(InputError, match="line 7: bad symbolic cell 'Equals'"):
+        parse_report(_write(tmp_path, lines))
+
+
+def test_parse_report_huge_integer_names_line(tmp_path):
+    lines = render_report(verify_graph(gen_cycle(4), [0.0, 0.5]),
+                          "csv").splitlines()
+    lines[2] = lines[2].replace(",4,4,", ",99999999999999999999,4,", 1)
+    with pytest.raises(InputError, match="line 3: bad n cell '9999"):
         parse_report(_write(tmp_path, lines))
 
 
