@@ -4,7 +4,8 @@ for their comparison, a LAPACK eigensolver with two independent oracle
 solvers, and verification campaigns that test every claim numerically.
 """
 
-from .alpha_matrix import AlphaMatrix, build_alpha_matrix, matrix_csv, matvec
+from .alpha_matrix import (AlphaMatrix, alpha_stack, build_alpha_matrix,
+                           matrix_csv, matvec)
 from .bounds import (DEFAULT_EPSILON, BoundComparison, Ordering, Witness,
                      bound_f, bound_g, classify, compare_numeric,
                      numeric_ordering, sqrt_arg_identity)
@@ -23,13 +24,15 @@ from .harness import (BOUND_SLACK, EQUALITY_TOL, STRICTNESS_ALPHAS,
                       sweep_grid, verification_violations, verify_graph)
 from .spectral import (DISPATCH_DENSE_LIMIT, JACOBI_MAX_SWEEPS,
                        POWER_MAX_ITER, POWER_TOL, SpectralResult,
-                       spectral_radius, spectral_radius_dense,
-                       spectral_radius_jacobi, spectral_radius_power)
+                       spectral_radii_dense, spectral_radius,
+                       spectral_radius_dense, spectral_radius_jacobi,
+                       spectral_radius_power)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaMatrix", "build_alpha_matrix", "matrix_csv", "matvec",
+    "AlphaMatrix", "alpha_stack", "build_alpha_matrix", "matrix_csv",
+    "matvec",
     "BoundComparison", "Ordering", "Witness",
     "bound_f", "bound_g", "classify", "compare_numeric", "numeric_ordering",
     "sqrt_arg_identity", "DEFAULT_EPSILON",
@@ -46,7 +49,8 @@ __all__ = [
     "emit_report", "render_report", "parse_report", "default_graph_id",
     "BOUND_SLACK", "EQUALITY_TOL", "STRICTNESS_MARGIN", "STRICTNESS_ALPHAS",
     "SWEEP_COLUMNS", "VERIFICATION_COLUMNS",
-    "SpectralResult", "spectral_radius", "spectral_radius_dense",
+    "SpectralResult", "spectral_radii_dense", "spectral_radius",
+    "spectral_radius_dense",
     "spectral_radius_jacobi", "spectral_radius_power", "JACOBI_MAX_SWEEPS",
     "DISPATCH_DENSE_LIMIT", "POWER_TOL", "POWER_MAX_ITER",
     "__version__",

@@ -30,20 +30,34 @@ class AlphaMatrix:
         return max(self.degrees) if self.degrees else 0
 
 
-def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> AlphaMatrix:
-    """Assemble alpha*D + (1 - alpha)*A for g.
+def alpha_stack(g: Graph, alphas, permissive: bool = False) -> np.ndarray:
+    """alpha*D + (1 - alpha)*A of g for each alpha in turn, as one
+    (k, n, n) float64 array: (1 - alpha)*A, then alpha*deg on the diagonal.
 
-    alpha must lie in [0, 1]; permissive mode relaxes the cap to alpha >= 0
-    (the combination is defined there too, but entrywise nonnegativity and
-    the bound guarantees only cover [0, 1]).
+    Every alpha must lie in [0, 1]; permissive mode relaxes the cap to
+    alpha >= 0 (the combination is defined there too, but entrywise
+    nonnegativity and the bound guarantees only cover [0, 1]).
     """
-    alpha = check_alpha(alpha, permissive)
-    deg = g.degrees()
-    m = (1.0 - alpha) * g.adjacency_matrix()
+    a = np.array([check_alpha(x, permissive) for x in alphas], dtype=float)
+    e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    u, v = e.T
+    # One allocation, scaled in place: a product into a second array would
+    # fault in fresh pages for every large matrix.
+    m = np.zeros((len(a), g.n, g.n))
+    m[:, u, v] = m[:, v, u] = 1.0
+    m *= (1.0 - a)[:, None, None]
     idx = np.arange(g.n)
-    m[idx, idx] = alpha * np.asarray(deg, dtype=float)
+    m[:, idx, idx] = a[:, None] * np.bincount(e.ravel(), minlength=g.n)
+    return m
+
+
+def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> AlphaMatrix:
+    """Assemble alpha*D + (1 - alpha)*A for g: the stack of one of
+    alpha_stack, read-only."""
+    alpha = check_alpha(alpha, permissive)
+    m = alpha_stack(g, (alpha,), permissive)[0]
     m.flags.writeable = False
-    return AlphaMatrix(m, alpha, g.n, tuple(deg))
+    return AlphaMatrix(m, alpha, g.n, tuple(g.degrees()))
 
 
 def matvec(am: AlphaMatrix, x) -> np.ndarray:

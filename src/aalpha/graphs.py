@@ -89,7 +89,16 @@ class DegreeProfile:
 def from_edge_list(n: int, edges) -> Graph:
     """Graph on n vertices from undirected pairs in either order; duplicates
     collapse, and Graph refuses loops and endpoints outside 0..n-1."""
-    return Graph(n, tuple({(u, v) if u < v else (v, u) for u, v in edges}))
+    edges = tuple(edges)
+    try:
+        pairs = {(u, v) if u < v else (v, u) for u, v in edges}
+    except TypeError:
+        # An endpoint that does not compare with its partner is no integer:
+        # order the integer pairs only, and Graph names the first bad edge.
+        pairs = dict.fromkeys(
+            (v, u) if _is_integer(u) and _is_integer(v) and v < u else (u, v)
+            for u, v in edges)
+    return Graph(n, tuple(pairs))
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .alpha_matrix import build_alpha_matrix
+from .alpha_matrix import alpha_stack, build_alpha_matrix
 from .bounds import (_BOOLS, DEFAULT_EPSILON, ORDERINGS, WITNESSES, Ordering,
                      Witness, _classify_codes, _f_kernel, _g_kernel,
                      _numeric_code, check_alpha)
@@ -37,7 +37,8 @@ from .errors import ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, degree_profile, emit_graph6,
                      from_edge_list, gen_complete, gen_cycle, gen_random,
                      gen_star, is_connected, is_star)
-from .spectral import spectral_radius
+from .spectral import (DISPATCH_DENSE_LIMIT, _default_method,
+                       spectral_radii_dense, spectral_radius)
 
 BOUND_SLACK = 1e-8
 EQUALITY_TOL = 1e-8
@@ -227,6 +228,39 @@ def default_graph_id(g: Graph) -> str:
     return f"n{g.n}-m{g.edge_count}"
 
 
+def _lambda1s(g: Graph, alphas, method: str | None,
+              graph_id: str) -> list[float]:
+    """lambda1 of g's alpha matrix at each alpha, in order.
+
+    On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
+    vertices, or method "dense") the alphas are solved in stacks of at most
+    DISPATCH_DENSE_LIMIT**2 entries, one LAPACK call per stack, so no stack
+    is larger than the biggest single dense matrix. A forced "jacobi" or
+    "power", and every graph above the limit, get one spectral_radius call
+    per alpha. A ConvergenceError is re-raised naming graph_id and the
+    alphas being solved.
+    """
+    dense = (_default_method(g.n) if method is None else method) == "dense"
+    step = max(1, DISPATCH_DENSE_LIMIT ** 2 // g.n ** 2) if dense else 1
+    lams = []
+    for i in range(0, len(alphas), step):
+        batch = alphas[i:i + step]
+        try:
+            if dense:
+                results = spectral_radii_dense(alpha_stack(g, batch))
+            else:
+                results = [spectral_radius(build_alpha_matrix(g, batch[0]),
+                                           method)]
+        except ConvergenceError as exc:
+            at = ", ".join(map(str, batch))
+            raise ConvergenceError(
+                f"eigensolver failed on {graph_id} at alpha={at}: {exc}",
+                estimate=exc.estimate, residual=exc.residual,
+                iterations=exc.iterations) from exc
+        lams += [r.lambda1 for r in results]
+    return lams
+
+
 def verify_graph(g: Graph, alpha_list, method: str | None = None,
                  graph_id: str | None = None) -> list[VerificationRecord]:
     """Check lambda1 >= f - 1e-8 and lambda1 >= g - 1e-8 for each alpha.
@@ -234,7 +268,9 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     Needs n >= 2 and every alpha in [0, 1]. Records are produced in the
     given alpha order; g_holds is recorded honestly even for edgeless
     graphs, where g > 0 = lambda1 — verification_violations applies the
-    edge-count exclusion.
+    edge-count exclusion. On the dense path all the alphas go through one
+    LAPACK call (one per DISPATCH_DENSE_LIMIT**2 entries of the stack);
+    each lambda1 equals a solve of that matrix alone, bit for bit.
     """
     if g.n < 2:
         raise InputError(f"verification needs n >= 2, got n = {g.n}")
@@ -245,16 +281,7 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     star = is_star(g)
     connected = is_connected(g)
     records = []
-    for alpha in alphas:
-        am = build_alpha_matrix(g, alpha)
-        try:
-            res = spectral_radius(am, method)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"eigensolver failed on {graph_id} at alpha={alpha}: {exc}",
-                estimate=exc.estimate, residual=exc.residual,
-                iterations=exc.iterations) from exc
-        lam = res.lambda1
+    for alpha, lam in zip(alphas, _lambda1s(g, alphas, method, graph_id)):
         f = _f_kernel(prof.min_degree, prof.max_degree, alpha)
         gg = _g_kernel(prof.max_degree, alpha)
         records.append(VerificationRecord(
@@ -318,7 +345,9 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     lambda1 > g + 1e-6 at alpha in {0, 0.25, 0.5, 0.75}. alpha = 1 is left
     out of the strictness set because lambda1 = Delta = g there for every
     graph. method None means the spectral_radius dispatcher, which solves
-    these small matrices with LAPACK; "jacobi" or "power" force an oracle.
+    these small matrices with LAPACK: the 101 alphas of a star at
+    alpha_steps = 100, or the four of a non-star, in one call per graph.
+    "jacobi" or "power" force an oracle, one call per alpha.
     """
     Delta_max = _check_limit("Delta_max", Delta_max, 1)
     alpha_steps = _check_limit("alpha_steps", alpha_steps, 1)
@@ -327,9 +356,9 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     eq_checks = 0
     max_gap = 0.0
     for Delta in range(1, Delta_max + 1):
-        star = gen_star(Delta + 1)
-        for alpha in alphas:
-            lam = spectral_radius(build_alpha_matrix(star, alpha), method).lambda1
+        lams = _lambda1s(gen_star(Delta + 1), alphas, method,
+                         f"star Delta={Delta}")
+        for alpha, lam in zip(alphas, lams):
             gap = abs(lam - _g_kernel(Delta, alpha))
             eq_checks += 1
             max_gap = max(max_gap, gap)
@@ -340,8 +369,8 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     min_margin = float("inf")
     for name, g in _non_star_fixtures():
         Delta = degree_profile(g).max_degree
-        for alpha in STRICTNESS_ALPHAS:
-            lam = spectral_radius(build_alpha_matrix(g, alpha), method).lambda1
+        lams = _lambda1s(g, STRICTNESS_ALPHAS, method, name)
+        for alpha, lam in zip(STRICTNESS_ALPHAS, lams):
             margin = lam - _g_kernel(Delta, alpha)
             strict_checks += 1
             min_margin = min(min_margin, margin)

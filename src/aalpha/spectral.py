@@ -5,9 +5,11 @@ For a symmetric entrywise-nonnegative matrix the spectral radius equals the
 largest eigenvalue, which every solver here targets directly. The dispatcher
 sends n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric eigensolver through
 numpy.linalg.eigh and larger graphs to shifted power iteration over the
-matrix's nonzero entries. Cyclic Jacobi diagonalization and power iteration
-share no code with each other or with LAPACK, so each serves as an oracle
-for the others.
+matrix's nonzero entries. The dense solver takes a (k, n, n) stack of
+matrices in one LAPACK call, so a campaign solves all the alphas of a graph
+together; a single matrix is a stack of one. Cyclic Jacobi
+diagonalization and power iteration share no code with each other or with
+LAPACK, so each serves as an oracle for the others.
 """
 
 import math
@@ -43,19 +45,30 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(b))
 
 
-def spectral_radius_dense(m: AlphaMatrix) -> SpectralResult:
-    """Full symmetric eigendecomposition by LAPACK (numpy.linalg.eigh).
+def spectral_radii_dense(stack: np.ndarray) -> list[SpectralResult]:
+    """LAPACK's symmetric eigensolver (numpy.linalg.eigh) on a (k, n, n)
+    stack of matrices, in one call.
 
-    Reports the largest eigenvalue, the measured residual ||m x - lambda1 x||
-    of its unit eigenvector x, and one iteration.
+    Reports, for each matrix in order, the largest eigenvalue, the measured
+    residual ||a x - lambda1 x|| of its unit eigenvector x, and one
+    iteration. Each result equals a solve of that matrix alone, bit for bit:
+    the gufunc runs the same LAPACK routine on every matrix, and the
+    residual's product and inner product are BLAS calls on one matrix each.
     """
-    if m.n < 1:
+    if stack.shape[-1] < 1:
         raise InputError("spectral radius needs at least one vertex")
-    w, x = np.linalg.eigh(m.matrix)
-    lam = float(w[-1])
-    top = x[:, -1]
-    resid = float(np.linalg.norm(m.matrix @ top - lam * top))
-    return SpectralResult(lam, "dense", resid, 1)
+    w, x = np.linalg.eigh(stack)
+    lam = w[:, -1]
+    top = x[:, :, -1:]
+    r = stack @ top - lam[:, None, None] * top
+    resid = np.sqrt(r.transpose(0, 2, 1) @ r)[:, 0, 0]
+    return [SpectralResult(v, "dense", e, 1)
+            for v, e in zip(lam.tolist(), resid.tolist())]
+
+
+def spectral_radius_dense(m: AlphaMatrix) -> SpectralResult:
+    """spectral_radii_dense on the stack of one matrix."""
+    return spectral_radii_dense(m.matrix[None])[0]
 
 
 def spectral_radius_jacobi(m: AlphaMatrix) -> SpectralResult:
@@ -158,6 +171,11 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
         estimate=est, residual=resid, iterations=max_iter)
 
 
+def _default_method(n: int) -> str:
+    """The dispatcher's solver for an n-vertex matrix."""
+    return "dense" if n <= DISPATCH_DENSE_LIMIT else "power"
+
+
 def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult:
     """Dispatch to a solver: dense LAPACK for n <= DISPATCH_DENSE_LIMIT (1000),
     power iteration above.
@@ -166,7 +184,7 @@ def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult
     defaults (tol 1e-10, max_iter 100000).
     """
     if method is None:
-        method = "dense" if m.n <= DISPATCH_DENSE_LIMIT else "power"
+        method = _default_method(m.n)
     if method == "dense":
         return spectral_radius_dense(m)
     if method == "jacobi":

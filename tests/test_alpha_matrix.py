@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from aalpha import (Graph, InputError, build_alpha_matrix, gen_complete,
-                    gen_random, gen_star, matrix_csv, matvec)
+from aalpha import (Graph, InputError, alpha_stack, build_alpha_matrix,
+                    gen_complete, gen_random, gen_star, matrix_csv, matvec)
 
 DYADIC_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 GENERIC_ALPHAS = (0.1, 0.37, 1 / 3, 0.99)
@@ -113,3 +113,24 @@ def test_metadata_fields():
     assert am.degrees == (5, 1, 1, 1, 1, 1)
     assert am.max_degree == 5
     assert build_alpha_matrix(Graph(0, ()), 0.5).max_degree == 0
+
+
+def test_alpha_stack_layers_are_the_single_matrices():
+    """Each layer is (1 - alpha)*A with alpha*deg on the diagonal, bit for
+    bit (a permissive alpha > 1 keeps its -0.0 entries), and equals
+    build_alpha_matrix."""
+    g = gen_random(9, 0.5, 2)
+    alphas = DYADIC_ALPHAS + GENERIC_ALPHAS + (0.5, 1.5)
+    stack = alpha_stack(g, alphas, permissive=True)
+    assert stack.shape == (len(alphas), 9, 9) and stack.dtype == np.float64
+    for a, m in zip(alphas, stack):
+        ref = (1.0 - a) * g.adjacency_matrix()
+        np.fill_diagonal(ref, a * np.asarray(g.degrees(), dtype=float))
+        assert m.tobytes() == ref.tobytes()
+        assert m.tobytes() == build_alpha_matrix(
+            g, a, permissive=True).matrix.tobytes()
+    assert alpha_stack(g, []).shape == (0, 9, 9)
+    assert alpha_stack(Graph(3, ()), [0.5]).tobytes() == \
+        np.diag([0.0, 0.0, 0.0]).tobytes()
+    with pytest.raises(InputError):
+        alpha_stack(g, [0.5, 1.5])

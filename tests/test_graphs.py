@@ -51,6 +51,17 @@ def test_from_edge_list_normalizes():
         from_edge_list(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("bad", [("a", 1), (None, 1)])
+def test_from_edge_list_incomparable_endpoint(bad):
+    """An endpoint that does not compare with an int gets Graph's own
+    InputError, however the other edges are ordered."""
+    with pytest.raises(InputError, match="needs integer endpoints") as ei:
+        from_edge_list(3, [(2, 1), bad, (0, 1)])
+    assert repr(bad) in str(ei.value)
+    with pytest.raises(InputError, match="needs integer endpoints"):
+        from_edge_list(3, [bad[::-1]])
+
+
 def test_adjacency_matrix_symmetric():
     g = gen_random(9, 0.5, 7)
     a = g.adjacency_matrix()

@@ -4,19 +4,23 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 import aalpha.harness as harness_mod
-from aalpha import (ConvergenceError, EQUALITY_TOL, Graph, InputError,
-                    Ordering, STRICTNESS_ALPHAS, SweepRecord, SweepTable,
-                    SWEEP_COLUMNS, VERIFICATION_COLUMNS, VerificationRecord,
-                    Witness, add_isolated, bound_f, bound_g,
+from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, EQUALITY_TOL,
+                    Graph, InputError, Ordering, STRICTNESS_ALPHAS,
+                    SweepRecord, SweepTable, SWEEP_COLUMNS,
+                    VERIFICATION_COLUMNS, VerificationRecord, Witness,
+                    add_isolated, bound_f, bound_g, build_alpha_matrix,
                     certify_star_equality, classify, emit_report,
                     gen_complete, gen_cycle, gen_random, gen_star,
                     numeric_ordering, parse_report, random_campaign,
-                    render_report, summarize_sweep, sweep_grid,
+                    render_report, spectral_radii_dense, spectral_radius,
+                    spectral_radius_dense, summarize_sweep, sweep_grid,
                     verification_violations, verify_graph)
 
 
@@ -159,12 +163,127 @@ def test_verify_graph_wraps_solver_failure(monkeypatch):
         raise ConvergenceError("synthetic stall", estimate=1.25,
                                residual=0.5, iterations=7)
 
-    monkeypatch.setattr(harness_mod, "spectral_radius", boom)
+    monkeypatch.setattr(harness_mod, "spectral_radii_dense", boom)
     with pytest.raises(ConvergenceError) as ei:
         harness_mod.verify_graph(gen_star(3), [0.5], graph_id="the-culprit")
     err = ei.value
     assert "the-culprit" in str(err)
     assert err.estimate == 1.25 and err.residual == 0.5 and err.iterations == 7
+
+
+@pytest.mark.parametrize("method", ["jacobi", "power"])
+def test_verify_graph_oracles_solve_per_alpha(monkeypatch, method):
+    """A forced oracle gives one spectral_radius call per alpha, the same
+    lambda1 as solving each matrix alone, and a failure names the alpha."""
+    g = gen_cycle(5)
+    alphas = [0.0, 0.25, 0.5]
+    records = verify_graph(g, alphas, method=method)
+    assert [r.lambda1 for r in records] == [
+        spectral_radius(build_alpha_matrix(g, a), method).lambda1
+        for a in alphas]
+
+    def boom(am, method=None):
+        if am.alpha == 0.25:
+            raise ConvergenceError("synthetic stall", estimate=1.25,
+                                   residual=0.5, iterations=7)
+        return spectral_radius(am, method)
+
+    monkeypatch.setattr(harness_mod, "spectral_radius", boom)
+    with pytest.raises(ConvergenceError) as ei:
+        harness_mod.verify_graph(g, alphas, method=method,
+                                 graph_id="the-culprit")
+    err = ei.value
+    assert "the-culprit at alpha=0.25:" in str(err)
+    assert err.estimate == 1.25 and err.residual == 0.5 and err.iterations == 7
+
+
+def _single_lambda1(g, alpha):
+    return spectral_radius_dense(build_alpha_matrix(g, alpha)).lambda1
+
+
+def test_batched_lambda1_equals_single_solves():
+    """Every lambda1 of the default campaign, of the certification's stars
+    and of its non-star fixtures equals a LAPACK solve of that one matrix,
+    bit for bit, and so do the certification's gap and margin."""
+    by_key = {(r.graph_id, r.alpha): r.lambda1 for r in random_campaign()}
+    assert len(by_key) == 297 * 5
+    for n in range(2, 13):
+        for p in (0.2, 0.5, 0.8):
+            for seed in range(3):
+                for k in range(3):
+                    g = add_isolated(gen_random(n, p, seed), k)
+                    gid = f"random:{n},{p},{seed}" + (f"+iso{k}" if k else "")
+                    for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+                        assert by_key[gid, a] == _single_lambda1(g, a), (gid, a)
+    alphas = [k / 100 for k in range(101)]
+    max_gap = 0.0
+    for Delta in range(1, 21):
+        star = gen_star(Delta + 1)
+        lams = [r.lambda1 for r in verify_graph(star, alphas)]
+        assert lams == [_single_lambda1(star, a) for a in alphas], Delta
+        max_gap = max([max_gap] + [abs(lam - bound_g(Delta, a))
+                                   for lam, a in zip(lams, alphas)])
+    margins = []
+    for name, g in harness_mod._non_star_fixtures():
+        lams = [r.lambda1 for r in verify_graph(g, STRICTNESS_ALPHAS)]
+        assert lams == [_single_lambda1(g, a) for a in STRICTNESS_ALPHAS], name
+        Delta = max(g.degrees())
+        margins += [lam - bound_g(Delta, a)
+                    for lam, a in zip(lams, STRICTNESS_ALPHAS)]
+    cert = certify_star_equality(20, 100)
+    assert cert.max_equality_gap == max_gap
+    assert cert.min_strictness_margin == min(margins)
+
+
+def test_batched_lambda1_edge_cases():
+    """An empty alpha list, repeated alphas and an edgeless graph."""
+    assert verify_graph(gen_cycle(4), []) == []
+    assert spectral_radii_dense(np.zeros((0, 3, 3))) == []
+    g = gen_complete(4)
+    alphas = [0.5, 0.5, 0.25, 0.5, 0.25]
+    lams = [r.lambda1 for r in verify_graph(g, alphas)]
+    assert lams == [_single_lambda1(g, a) for a in alphas]
+    assert lams[0] == lams[1] == lams[3] and lams[2] == lams[4]
+    empty = Graph(3, ())
+    alphas = [0.0, 0.5, 1.0]
+    lams = [r.lambda1 for r in verify_graph(empty, alphas)]
+    assert lams == [_single_lambda1(empty, a) for a in alphas] == [0.0] * 3
+
+
+def test_certify_star_equality_one_lapack_call_per_graph(monkeypatch):
+    """20 stars and 5 non-star fixtures: 25 eigh calls, not 2040."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cert = certify_star_equality(20, 100)
+    assert cert.equality_checks + cert.strictness_checks == 2040
+    assert len(calls) == 25
+    assert sorted(calls) == sorted(
+        [(101, d + 1, d + 1) for d in range(1, 21)]
+        + [(4, n, n) for n in (4, 5, 4, 4, 5)])
+    calls.clear()
+    verify_graph(gen_cycle(400), [k / 6 for k in range(7)])
+    assert calls == [(6, 400, 400), (1, 400, 400)]  # 10**6 // 400**2 = 6
+
+
+def test_dense_stack_memory_is_bounded():
+    """A stack holds at most DISPATCH_DENSE_LIMIT**2 entries: 20 alphas of
+    G(500, .05) as one stack would be 40 MB by itself."""
+    g = gen_random(500, 0.05, 0)
+    alphas = [k / 19 for k in range(20)]
+    tracemalloc.start()
+    try:
+        records = verify_graph(g, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * DISPATCH_DENSE_LIMIT ** 2 * 8, f"peak {peak / 1e6:.1f} MB"
+    assert records == [verify_graph(g, [a])[0] for a in alphas]
 
 
 def test_verification_violations_filter():

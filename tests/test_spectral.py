@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, Graph, InputError,
-                    add_isolated, build_alpha_matrix, from_edge_list,
-                    gen_circulant, gen_complete, gen_cycle, gen_random,
-                    gen_star, spectral_radius, spectral_radius_dense,
-                    spectral_radius_jacobi, spectral_radius_power)
+                    SpectralResult, add_isolated, alpha_stack,
+                    build_alpha_matrix, from_edge_list, gen_circulant,
+                    gen_complete, gen_cycle, gen_random, gen_star,
+                    spectral_radii_dense, spectral_radius,
+                    spectral_radius_dense, spectral_radius_jacobi,
+                    spectral_radius_power)
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -197,3 +199,24 @@ def test_power_nonzero_matvec_matches_dense_product():
         am = build_alpha_matrix(g, alpha)
         rp = spectral_radius_power(am)
         assert abs(rp.lambda1 - spectral_radius_dense(am).lambda1) <= 1e-8
+
+
+def test_dense_stack_matches_single_solves():
+    """Every result of a stacked solve, residual included, equals an eigh
+    call and a residual on that matrix alone, bit for bit."""
+    # G(7, .5, 0) and G(8, .2, 2) are graphs whose residual, as a row-wise
+    # pairwise sum of squares, differs from the dot product in the last bit.
+    for g in (gen_random(7, 0.5, 0), gen_random(8, 0.2, 2),
+              add_isolated(gen_star(6), 2), gen_cycle(200), Graph(1, ())):
+        single = []
+        for a in ALPHAS:
+            m = build_alpha_matrix(g, a).matrix
+            w, x = np.linalg.eigh(m)
+            lam, top = float(w[-1]), x[:, -1]
+            single.append(SpectralResult(
+                lam, "dense", float(np.linalg.norm(m @ top - lam * top)), 1))
+        assert spectral_radii_dense(alpha_stack(g, ALPHAS)) == single
+        assert [spectral_radius_dense(build_alpha_matrix(g, a))
+                for a in ALPHAS] == single
+    with pytest.raises(InputError):
+        spectral_radii_dense(np.zeros((2, 0, 0)))
