@@ -11,8 +11,10 @@ import numpy as np
 from aalpha import build_alpha_matrix, from_edge_list, matrix_csv, matvec
 
 # A "paw": triangle 0-1-2 plus the pendant vertex 3 hanging off vertex 2.
+# Its edges are one sorted (m, 2) integer array; its degrees are counted once.
 paw = from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-print(f"graph: n = {paw.n}, m = {paw.edge_count}, degrees = {paw.degrees()}")
+print(f"graph: n = {paw.n}, m = {paw.edge_count}, "
+      f"edges = {paw.edges.tolist()}, degrees = {paw.degrees.tolist()}")
 
 for alpha in (0.0, 0.5, 1.0):
     am = build_alpha_matrix(paw, alpha)
@@ -22,7 +24,7 @@ for alpha in (0.0, 0.5, 1.0):
 print("\nrow sums vs degrees at alpha = 0.3:")
 am = build_alpha_matrix(paw, 0.3)
 row_sums = matvec(am, np.ones(paw.n))
-for v, (rs, d) in enumerate(zip(row_sums, paw.degrees())):
+for v, (rs, d) in enumerate(zip(row_sums, paw.degrees.tolist())):
     print(f"  vertex {v}: row sum = {rs:.17g}, degree = {d}")
 
 print("\nedge entry (0,1) falls with alpha, diagonal entry (2,2) rises:")

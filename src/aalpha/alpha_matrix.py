@@ -23,11 +23,11 @@ class AlphaMatrix:
     matrix: np.ndarray  # (n, n) float64, read-only
     alpha: float
     n: int
-    degrees: tuple[int, ...]
+    degrees: np.ndarray  # the graph's read-only degree array
 
     @property
     def max_degree(self) -> int:
-        return max(self.degrees) if self.degrees else 0
+        return int(self.degrees.max()) if self.n else 0
 
 
 def alpha_stack(g: Graph, alphas, permissive: bool = False) -> np.ndarray:
@@ -39,15 +39,14 @@ def alpha_stack(g: Graph, alphas, permissive: bool = False) -> np.ndarray:
     nonnegativity and the bound guarantees only cover [0, 1]).
     """
     a = np.array([check_alpha(x, permissive) for x in alphas], dtype=float)
-    e = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    u, v = e.T
+    u, v = g.edges.T
     # One allocation, scaled in place: a product into a second array would
     # fault in fresh pages for every large matrix.
     m = np.zeros((len(a), g.n, g.n))
     m[:, u, v] = m[:, v, u] = 1.0
     m *= (1.0 - a)[:, None, None]
     idx = np.arange(g.n)
-    m[:, idx, idx] = a[:, None] * np.bincount(e.ravel(), minlength=g.n)
+    m[:, idx, idx] = a[:, None] * g.degrees
     return m
 
 
@@ -57,7 +56,7 @@ def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> Alph
     alpha = check_alpha(alpha, permissive)
     m = alpha_stack(g, (alpha,), permissive)[0]
     m.flags.writeable = False
-    return AlphaMatrix(m, alpha, g.n, tuple(g.degrees()))
+    return AlphaMatrix(m, alpha, g.n, g.degrees)
 
 
 def matvec(am: AlphaMatrix, x) -> np.ndarray:

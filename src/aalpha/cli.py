@@ -57,16 +57,20 @@ def _parse_gen(spec: str) -> tuple[str, Graph]:
 
 def _load_graph(args) -> tuple[str, Graph]:
     """Graph plus its identifier from --graph6/--edgelist/--gen flags."""
+    path = args.edgelist if args.graph6 is None else args.graph6
+    if path is not None:
+        with open(path, encoding="ascii", errors="replace") as fh:
+            text = fh.read()
+        if "\ufffd" in text:  # the mark of a byte that is not ASCII
+            raise InputError(f"{path} is not ASCII text")
     if args.graph6 is not None:
-        with open(args.graph6, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise InputError(f"no graph6 line found in {args.graph6}")
         g = parse_graph6(lines[0])
         gid = "graph6:" + emit_graph6(g)  # canonical: prefix-independent
     elif args.edgelist is not None:
-        with open(args.edgelist, "r", encoding="ascii") as fh:
-            g = parse_edge_list(fh.read())
+        g = parse_edge_list(text)
         gid = f"edgelist:{args.edgelist}"
     else:
         gid, g = _parse_gen(args.gen)
@@ -238,10 +242,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

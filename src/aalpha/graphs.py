@@ -1,11 +1,12 @@
 """Simple undirected graphs: constructors, generators, and graph6 / edge-list I/O.
 
-Vertices are the integers 0..n-1. Graphs are immutable; every constructor
-normalizes edges to sorted (u, v) pairs with u < v, so the no-loop and
-symmetry invariants hold for anything that exists at all.
-"""
+Vertices are 0..n-1. Every producer below builds a Graph's one (m, 2) int64
+edge array, and every consumer reads it."""
 
-from dataclasses import dataclass
+import itertools
+import re
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from .errors import InputError, ParseError, UnsupportedSizeError
 GRAPH6_MAX_N = 62
 _RANDOM_CHUNK = 1 << 16  # gen_random variates per draw
 _GRAPH6_PREFIX = ">>graph6<<"
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # what np.loadtxt reads as an integer
 
 
 def _is_integer(x) -> bool:
@@ -21,59 +23,75 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
+def _int_pairs(edges) -> np.ndarray:
+    """edges as a fresh (m, 2) int64 array; an endpoint that is not an
+    integer (a bool is not) raises InputError naming the first such edge."""
+    if not isinstance(edges, np.ndarray) or edges.dtype.kind not in "iu":
+        edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in
+                   set(map(type, itertools.chain.from_iterable(edges)))):
+            bad = next(p for p in edges if not all(map(_is_integer, p)))
+            raise InputError(f"edge {tuple(bad)!r} needs integer endpoints")
+    try:
+        return np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+    except (ValueError, OverflowError):
+        raise InputError("edges must be (u, v) pairs of int64 endpoints") from None
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple graph: vertex count plus a canonical edge tuple.
-    The one edge validator, and the one place edges are sorted."""
+    """Immutable simple graph: ``edges`` a read-only (m, 2) int64 array of
+    pairs u < v in lexicographic order, ``degrees`` a read-only int64 array.
+    The one edge validator, for any pair sequence or integer array: it names
+    the first non-integer, looped, unordered, out-of-range or repeated edge."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not _is_integer(self.n) or self.n < 0:
             raise InputError(
                 f"vertex count must be a nonnegative integer, got {self.n!r}")
-        seen = set()
-        for e in self.edges:
-            u, v = e
-            if not (type(u) is type(v) is int
-                    or _is_integer(u) and _is_integer(v)):
-                raise InputError(f"edge ({u!r}, {v!r}) needs integer endpoints")
-            if u == v:
-                raise InputError(f"self-loop ({u}, {u}) is not allowed")
-            if not (0 <= u < v < self.n):
-                raise InputError(
-                    f"edge ({u}, {v}) is not an ordered pair over 0..{self.n - 1}")
-            if e in seen:
-                raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        n = int(self.n)
+        e = pairs = _int_pairs(self.edges)
+        u, v = pairs[:, 0], pairs[:, 1]
+        bad = (u < 0) | (u >= v) | (v >= n)
+        z = u + 1j * v  # complex numbers order lexicographically, exactly < 2**53
+        if np.count_nonzero(z[1:] <= z[:-1]):  # out of order, or a repeat
+            order = z.argsort(kind="stable")  # a repeat sorts after its first
+            z = z[order]
+            bad[order[1:][z[1:] == z[:-1]]] = True
+            e = pairs.take(order, axis=0)
+        if np.count_nonzero(bad):  # the first in the given order is named
+            u, v = pairs[bad.argmax()].tolist()
+            raise InputError(
+                f"self-loop ({u}, {u}) is not allowed" if u == v else
+                f"edge ({u}, {v}) is not an ordered pair over 0..{n - 1}"
+                if not 0 <= u < v < n else f"duplicate edge ({u}, {v})")
+        degrees = np.bincount(e.ravel(), minlength=n)
+        e.flags.writeable = degrees.flags.writeable = False
+        self.__dict__.update(n=n, edges=e, degrees=degrees)  # frozen fields
+
+    def __eq__(self, other):
+        return (isinstance(other, Graph) and self.n == other.n
+                and self.edges.tobytes() == other.edges.tobytes())
+
+    def __hash__(self):
+        return hash((self.n, self.edges.tobytes()))
+
+    def __reduce__(self):  # a copy or an unpickled graph is validated anew
+        return Graph, (self.n, self.edges)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        """Per-vertex degree list."""
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def neighbor_lists(self) -> list[list[int]]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return nbrs
-
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix as float64."""
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        u, v = self.edges.T
+        a[u, v] = a[v, u] = 1.0
         return a
 
 
@@ -89,23 +107,16 @@ class DegreeProfile:
 def from_edge_list(n: int, edges) -> Graph:
     """Graph on n vertices from undirected pairs in either order; duplicates
     collapse, and Graph refuses loops and endpoints outside 0..n-1."""
-    edges = tuple(edges)
-    try:
-        pairs = {(u, v) if u < v else (v, u) for u, v in edges}
-    except TypeError:
-        # An endpoint that does not compare with its partner is no integer:
-        # order the integer pairs only, and Graph names the first bad edge.
-        pairs = dict.fromkeys(
-            (v, u) if _is_integer(u) and _is_integer(v) and v < u else (u, v)
-            for u, v in edges)
-    return Graph(n, tuple(pairs))
+    pairs = np.sort(_int_pairs(edges), axis=1)
+    first = np.unique(pairs[:, 0] + 1j * pairs[:, 1], return_index=True)[1]
+    return Graph(n, pairs[np.sort(first)])  # first occurrences, in order
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
     """Degree sequence of g with max and min; undefined for n = 0."""
     if g.n == 0:
         raise InputError("degree profile is undefined for a graph with no vertices")
-    deg = g.degrees()
+    deg = g.degrees.tolist()
     return DegreeProfile(tuple(deg), max(deg), min(deg))
 
 
@@ -116,8 +127,11 @@ def degree_profile(g: Graph) -> DegreeProfile:
 # column-major (j = 1..n-1, i = 0..j-1) six bits per byte, each byte offset
 # by 63, zero-padded to a six-bit boundary. Byte offsets in errors are
 # relative to the payload after stripping whitespace and the optional
-# ">>graph6<<" prefix.
+# ">>graph6<<" prefix. Pair (i, j) is bit j*(j-1)/2 + i.
 # ---------------------------------------------------------------------------
+
+_SIX_BITS = np.array([32, 16, 8, 4, 2, 1])
+
 
 def parse_graph6(text: str) -> Graph:
     """Decode one line of short-form graph6 into a Graph."""
@@ -133,8 +147,7 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(f"header byte {s[0]!r} outside graph6 range [63, 126]",
                          offset=0)
     n = header - 63
-    need_bits = n * (n - 1) // 2
-    need_bytes = (need_bits + 5) // 6
+    need_bytes = (n * (n - 1) // 2 + 5) // 6
     body = s[1:]
     if len(body) < need_bytes:
         raise ParseError(
@@ -143,22 +156,14 @@ def parse_graph6(text: str) -> Graph:
     if len(body) > need_bytes:
         raise ParseError("unexpected data after the bit section",
                          offset=1 + need_bytes)
-    bits = []
-    for k, ch in enumerate(body):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise ParseError(f"character {ch!r} outside graph6 range [63, 126]",
-                             offset=1 + k)
-        val = c - 63
-        bits.extend((val >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, tuple(edges))
+    vals = np.fromiter(map(ord, body), np.int64, len(body)) - 63
+    bad = np.flatnonzero((vals < 0) | (vals > 63)).tolist()
+    if bad:
+        raise ParseError(f"character {body[bad[0]]!r} outside graph6 range "
+                         f"[63, 126]", offset=1 + bad[0])
+    j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))  # row-major: the bit order
+    bits = (vals[:, None] & _SIX_BITS).astype(bool).ravel()[:len(i)]
+    return Graph(n, np.column_stack((i[bits], j[bits])))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -166,53 +171,48 @@ def emit_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise UnsupportedSizeError(
             f"graph6 short form supports n <= {GRAPH6_MAX_N}, got {g.n}")
-    n = g.n
-    adj = set(g.edges)
-    bits = [1 if (i, j) in adj else 0 for j in range(1, n) for i in range(j)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k:k + 6]:
-            val = (val << 1) | b
-        out.append(chr(63 + val))
-    return "".join(out)
+    bits = np.zeros(6 * ((g.n * (g.n - 1) // 2 + 5) // 6), np.int64)
+    u, v = g.edges.T
+    bits[v * (v - 1) // 2 + u] = 1
+    body = bits.reshape(-1, 6) @ _SIX_BITS + 63
+    return chr(63 + g.n) + bytes(body.astype(np.uint8)).decode("ascii")
+
+
+def _bad_line(lines, reason) -> ParseError:
+    """A ParseError naming the first line of an edge list that is not two
+    integers. This rescans the lines one by one, so it runs only after the
+    column-wise parse has failed."""
+    for k, line in enumerate(lines, 1):
+        row = line.split("#", 1)[0].strip()
+        tokens = row.split()
+        if tokens and (len(tokens) != 2
+                       or not all(map(_INT_TOKEN.fullmatch, tokens))):
+            return ParseError(f"line {k}: expected two integers, got {row!r}")
+    return ParseError(f"malformed edge list: {reason}")
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Read the plain edge-list format: a "n m" header line, then m "u v" lines.
-
-    '#' starts a comment anywhere on a line; blank lines are skipped.
-    """
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
-    if not rows:
-        raise ParseError("missing 'n m' header line")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ParseError(f"header line must be 'n m', got {rows[0]!r}")
+    """Read the plain edge-list format: a "n m" header line, then m "u v" lines
+    ('#' starts a comment anywhere; blank lines are skipped), column-wise by
+    np.loadtxt. Pairs may come in either order and repeats collapse; a line
+    that is not two integers raises ParseError naming its line number."""
+    lines = text.splitlines()
     try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError(f"header line must hold two integers, got {rows[0]!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data" lines
+            rows = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+    except ValueError as exc:
+        raise _bad_line(lines, exc) from None
+    if not len(rows):
+        raise ParseError("missing 'n m' header line")
+    if rows.shape[1] != 2:
+        raise _bad_line(lines, f"{rows.shape[1]} columns")
+    n, m = rows[0].tolist()
     if n < 0 or m < 0:
-        raise ParseError(f"header counts must be nonnegative, got {rows[0]!r}")
+        raise ParseError(f"header counts must be nonnegative, got {n} {m}")
     if len(rows) - 1 != m:
         raise ParseError(f"header promises {m} edge lines, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise ParseError(f"edge line must be 'u v', got {row!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ParseError(f"edge line must hold two integers, got {row!r}")
-    return from_edge_list(n, edges)
+    return from_edge_list(n, rows[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -221,39 +221,34 @@ def parse_edge_list(text: str) -> Graph:
 
 def gen_star(n: int) -> Graph:
     """Star K_{1,n-1}: vertex 0 adjacent to all others (n >= 2)."""
-    if n < 2:
-        raise InputError(f"a star needs at least 2 vertices, got {n}")
-    return Graph(n, tuple((0, v) for v in range(1, n)))
+    if not _is_integer(n) or n < 2:
+        raise InputError(f"a star needs an integer n >= 2, got {n!r}")
+    return Graph(n, np.column_stack((np.zeros(n - 1, int), np.arange(1, n))))
 
 
 def gen_complete(n: int) -> Graph:
     """Complete graph K_n (n >= 1)."""
-    if n < 1:
-        raise InputError(f"a complete graph needs at least 1 vertex, got {n}")
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    if not _is_integer(n) or n < 1:
+        raise InputError(f"a complete graph needs an integer n >= 1, got {n!r}")
+    return Graph(n, np.argwhere(np.tri(n, k=-1, dtype=bool).T))
 
 
 def gen_cycle(n: int) -> Graph:
-    """Cycle C_n (n >= 3); 2-regular."""
-    if n < 3:
-        raise InputError(f"a cycle needs at least 3 vertices, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
+    """Cycle C_n (n >= 3); 2-regular: the circulant graph with offset 1."""
+    if not _is_integer(n) or n < 3:
+        raise InputError(f"a cycle needs an integer n >= 3, got {n!r}")
+    return gen_circulant(n, (1,))
 
 
 def gen_circulant(n: int, offsets) -> Graph:
     """Circulant graph: i ~ (i + o) mod n for each offset o in [1, n/2]."""
     offs = list(offsets)
-    if not offs:
-        raise InputError("circulant offsets must be nonempty")
-    for o in offs:
-        if not (1 <= o and 2 * o <= n):
-            raise InputError(f"offset {o} outside [1, n/2] for n = {n}")
-    edges = set()
-    for o in set(offs):
-        for i in range(n):
-            j = (i + o) % n
-            edges.add((i, j) if i < j else (j, i))
-    return Graph(n, tuple(edges))
+    if not (_is_integer(n) and offs and all(
+            _is_integer(o) and 1 <= o and 2 * o <= n for o in offs)):
+        raise InputError(f"a circulant needs an integer n and integer offsets "
+                         f"in [1, n/2], got n = {n!r}, offsets {offs!r}")
+    i = np.tile(np.arange(n), len(offs))
+    return from_edge_list(n, np.column_stack((i, (i + np.repeat(offs, n)) % n)))
 
 
 def gen_random(n: int, p: float, seed: int) -> Graph:
@@ -266,10 +261,10 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     _RANDOM_CHUNK, which continue one stream exactly as a single call would,
     so memory stays O(chunk + edges) while time is O(n^2).
     """
-    if n < 0:
-        raise InputError(f"vertex count must be nonnegative, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"edge probability must lie in [0, 1], got {p}")
+    if not _is_integer(n) or n < 0:
+        raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+        raise InputError(f"edge probability must lie in [0, 1], got {p!r}")
     rng = np.random.default_rng(seed)
     rows = np.arange(n, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2  # flat offset of pair (i, i+1)
@@ -278,14 +273,13 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
             for lo in range(0, pairs, _RANDOM_CHUNK)]
     flat = np.concatenate(kept) if kept else np.empty(0, np.int64)
     i = np.searchsorted(starts, flat, side="right") - 1
-    j = flat - starts[i] + i + 1
-    return Graph(n, tuple(zip(i.tolist(), j.tolist())))
+    return Graph(n, np.column_stack((i, flat - starts[i] + i + 1)))
 
 
 def add_isolated(g: Graph, k: int) -> Graph:
     """Same edges with k extra isolated vertices appended."""
-    if k < 0:
-        raise InputError(f"isolated vertex count must be nonnegative, got {k}")
+    if not _is_integer(k) or k < 0:
+        raise InputError(f"isolated count must be a nonnegative integer, got {k!r}")
     return Graph(g.n + k, g.edges)
 
 
@@ -294,31 +288,26 @@ def add_isolated(g: Graph, k: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def is_connected(g: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (n >= 1)."""
+    """True when every vertex is reachable from vertex 0 (n >= 1). Each vertex
+    points at a smaller vertex or is a root; rounds jump every pointer to its
+    root and hook the larger root of each edge onto the smaller one."""
     if g.n == 0:
         raise InputError("connectivity is undefined for a graph with no vertices")
-    if g.n == 1:
-        return True
-    nbrs = g.neighbor_lists()
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
+    if g.edge_count < g.n - 1 or g.n > 1 and np.count_nonzero(g.degrees) < g.n:
+        return False
+    label = np.arange(g.n)
+    u, v = g.edges.T
+    while True:
+        for _ in range(g.n.bit_length()):
+            label = label[label]
+        lu, lv = label[u], label[v]
+        if not np.count_nonzero(lu != lv):
+            return not np.count_nonzero(label)
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
 
 
 def is_star(g: Graph) -> bool:
     """True for K_{1,n-1} on n >= 2 vertices (K2 counts: it is K_{1,1})."""
-    if g.n < 2:
-        return False
-    if g.edge_count != g.n - 1:
-        return False
     # n - 1 edges and a vertex adjacent to every other: those are its edges.
-    return max(g.degrees()) == g.n - 1
+    return (g.n >= 2 and g.edge_count == g.n - 1
+            and int(g.degrees.max()) == g.n - 1)

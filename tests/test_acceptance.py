@@ -152,7 +152,7 @@ def test_criterion_6_eigensolver_cross_validation():
             assert abs(spectral_radius(am).lambda1 - r) <= 1e-10, (g, alpha)
 
     for g in (gen_star(8), gen_random(9, 0.5, 2), gen_cycle(6)):
-        Delta = max(g.degrees())
+        Delta = max(g.degrees.tolist())
         assert spectral_radius(build_alpha_matrix(g, 1.0)).lambda1 == float(Delta)
     print(f"PASS criterion 6: {len(graphs)} graphs cross-validated "
           f"({pairs_checked} solver pairs), regular and alpha=1 exactness hold")

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from aalpha import (BoundComparison, ConsistencyError, InputError, Ordering,
-                    Witness, bound_f, bound_g, build_alpha_matrix,
-                    certify_star_equality, classify, compare_numeric,
-                    gen_cycle, numeric_ordering, sqrt_arg_identity,
+                    Witness, add_isolated, bound_f, bound_g,
+                    build_alpha_matrix, certify_star_equality, classify,
+                    compare_numeric, gen_circulant, gen_complete, gen_cycle,
+                    gen_random, gen_star, numeric_ordering, sqrt_arg_identity,
                     sweep_grid, verify_graph)
 
 mpmath.mp.dps = 50
@@ -186,13 +187,23 @@ def test_classify_domain():
     lambda: verify_graph(gen_cycle(4), [0.5, True]),
     lambda: sweep_grid(True, True, True),
     lambda: certify_star_equality(True, True),
+    lambda: gen_star(2.5),
+    lambda: gen_cycle(3.5),
+    lambda: gen_complete(2.0),
+    lambda: gen_circulant(5.0, [1]),
+    lambda: gen_random(2.5, 0.5, 0),
+    lambda: gen_random(5, True, 0),
+    lambda: add_isolated(gen_cycle(4), True),
 ], ids=["classify-alpha", "classify-delta", "bound_f-delta", "bound_f-alpha",
         "bound_g-Delta", "bound_g-alpha", "sqrt_arg-Delta", "sqrt_arg-alpha",
         "compare_numeric-Delta", "alpha_matrix-alpha", "verify_graph-alpha",
-        "sweep_grid-limits", "certify-limits"])
+        "sweep_grid-limits", "certify-limits", "gen_star-n", "gen_cycle-n",
+        "gen_complete-n", "gen_circulant-n", "gen_random-n", "gen_random-p",
+        "add_isolated-k"])
 def test_bool_is_not_a_degree_or_alpha(call):
     """Every entry point shares one domain check (one limit check for the
-    campaigns), and it refuses a bool rather than reading it as 0 or 1."""
+    campaigns, Graph's integer check for the generators' counts), and it
+    refuses a bool rather than reading it as 0 or 1."""
     with pytest.raises(InputError):
         call()
 

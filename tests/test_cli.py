@@ -209,6 +209,18 @@ def test_input_errors_exit_two(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag, data", [
+    ("--edgelist", "3 1\n0 1 # café\n".encode()),
+    ("--graph6", b"B\xbf\n"),
+])
+def test_non_ascii_input_exits_two(capsys, tmp_path, flag, data):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(data)
+    rc, _, err = run(capsys, "spectral", flag, str(path), "--alpha", "0.5")
+    assert rc == 2
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_unwritable_output_exits_two(capsys, tmp_path):
     rc, _, err = run(capsys, "sweep", "--delta-max", "1", "--Delta-max", "1",
                      "--alpha-steps", "1",

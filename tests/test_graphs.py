@@ -1,22 +1,64 @@
 """Graph construction, graph6 and edge-list formats, generators, predicates."""
 
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from aalpha import (GRAPH6_MAX_N, Graph, InputError, ParseError,
-                    UnsupportedSizeError, add_isolated, degree_profile,
-                    emit_graph6, from_edge_list, gen_circulant, gen_complete,
-                    gen_cycle, gen_random, gen_star, is_connected, is_star,
-                    parse_edge_list, parse_graph6)
+                    UnsupportedSizeError, VerificationRecord, add_isolated,
+                    degree_profile, emit_graph6, from_edge_list, gen_circulant,
+                    gen_complete, gen_cycle, gen_random, gen_star,
+                    is_connected, is_star, parse_edge_list, parse_graph6,
+                    verify_graph)
 
 
 def test_graph_canonical_edges():
     g = Graph(4, ((2, 3), (0, 1), (1, 3)))
-    assert g.edges == ((0, 1), (1, 3), (2, 3))
+    assert g.edges.tolist() == [[0, 1], [1, 3], [2, 3]]
     assert g.edge_count == 3
-    assert g.degrees() == [1, 2, 1, 2]
+    assert g.degrees.tolist() == [1, 2, 1, 2]
+
+
+def test_graph_arrays_are_read_only():
+    g = gen_random(9, 0.5, 2)
+    assert g.edges.dtype == np.int64 and g.edges.shape == (g.edge_count, 2)
+    for h in (g, copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert h == g
+        with pytest.raises(ValueError):
+            h.edges[0, 0] = 5
+        with pytest.raises(ValueError):
+            h.degrees[0] = 5
+
+
+def test_graph_equal_whatever_the_edge_container():
+    pairs = [(2, 3), (0, 1), (1, 3)]
+    graphs = [Graph(4, pairs), Graph(4, tuple(pairs)),
+              Graph(4, np.array(pairs, dtype=np.int32)),
+              Graph(4, (p for p in pairs))]
+    for g in graphs:
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+    assert Graph(4, pairs) != Graph(5, pairs)
+    assert Graph(4, pairs) != Graph(4, pairs[:2])
+
+
+def test_graph_values_are_python_types():
+    """Counts, degrees and every verification field have their declared
+    Python type, never a numpy scalar."""
+    g = Graph(np.int64(5), np.array([(0, 1), (1, 2), (3, 4)], np.int32))
+    assert type(g.n) is int and type(g.edge_count) is int
+    p = degree_profile(g)
+    assert type(p.degrees) is tuple
+    assert {type(d) for d in p.degrees} == {int}
+    assert type(p.max_degree) is int and type(p.min_degree) is int
+    records = []
+    for h in (g, gen_star(np.int64(6)), add_isolated(gen_cycle(5), 1)):
+        records += verify_graph(h, [0.0, 0.5, 1.0])
+    for r in records:
+        for name, kind in VerificationRecord.__annotations__.items():
+            assert type(getattr(r, name)) is kind, name
 
 
 def test_graph_rejects_bad_edges():
@@ -44,7 +86,7 @@ def test_graph_rejects_bad_edges():
 
 def test_from_edge_list_normalizes():
     g = from_edge_list(4, [(3, 1), (1, 3), (0, 2)])
-    assert g.edges == ((0, 2), (1, 3))
+    assert g.edges.tolist() == [[0, 2], [1, 3]]
     with pytest.raises(InputError):
         from_edge_list(3, [(0, 0)])
     with pytest.raises(InputError):
@@ -150,13 +192,24 @@ def test_parse_edge_list_errors(bad):
         parse_edge_list(bad)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("# pendant\n4 3\n0 1\n\n1 2  # ok\n2 x\n", "line 6: expected two integers, got '2 x'"),
+    ("4 3\n0 1\n1 2 3\n2 3\n", "line 3: expected two integers, got '1 2 3'"),
+    ("4 2\n0 1\n1 2_0\n", "line 3: expected two integers, got '1 2_0'"),
+    ("3\n", "line 1: expected two integers, got '3'"),
+])
+def test_parse_edge_list_names_the_line(text, where):
+    with pytest.raises(ParseError, match=where):
+        parse_edge_list(text)
+
+
 def test_generators_basic_shapes():
     s = gen_star(6)
-    assert s.edge_count == 5 and max(s.degrees()) == 5
+    assert s.edge_count == 5 and max(s.degrees.tolist()) == 5
     k = gen_complete(5)
-    assert k.edge_count == 10 and set(k.degrees()) == {4}
+    assert k.edge_count == 10 and set(k.degrees.tolist()) == {4}
     c = gen_cycle(7)
-    assert c.edge_count == 7 and set(c.degrees()) == {2}
+    assert c.edge_count == 7 and set(c.degrees.tolist()) == {2}
     with pytest.raises(InputError):
         gen_star(1)
     with pytest.raises(InputError):
@@ -199,7 +252,7 @@ def test_gen_random_matches_pair_order():
             for j in range(i + 1, n):
                 if rng.random() < p:
                     expect.append((i, j))
-        assert gen_random(n, p, seed).edges == tuple(expect)
+        assert gen_random(n, p, seed).edges.tolist() == list(map(list, expect))
     with pytest.raises(InputError):
         gen_random(5, 1.5, 0)
     with pytest.raises(InputError):
@@ -219,12 +272,12 @@ def test_gen_random_chunked_draw_memory_and_edges():
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
     iu, ju = np.triu_indices(2000, 1)
     keep = np.random.default_rng(1).random(iu.size) < 0.01
-    assert g.edges == tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
+    assert np.array_equal(g.edges, np.stack((iu[keep], ju[keep]), axis=1))
 
 
 def test_add_isolated():
     g = add_isolated(gen_star(4), 2)
-    assert g.n == 6 and g.edges == gen_star(4).edges
+    assert g.n == 6 and np.array_equal(g.edges, gen_star(4).edges)
     assert add_isolated(g, 0) == g
     with pytest.raises(InputError):
         add_isolated(g, -1)
@@ -237,6 +290,40 @@ def test_is_connected():
     assert not is_connected(add_isolated(gen_complete(3), 1))
     with pytest.raises(InputError):
         is_connected(Graph(0, ()))
+
+
+def test_is_connected_matches_a_search():
+    """The hooking rounds agree with a plain search, also on long paths with
+    shuffled labels, which take the most rounds."""
+    rng = np.random.default_rng(5)
+    graphs = [gen_random(s % 15 + 1, (s % 7) / 8, s) for s in range(120)]
+    for n in (9, 64, 301):
+        perm = rng.permutation(n).tolist()
+        path = list(zip(perm, perm[1:]))
+        graphs += [from_edge_list(n, path),  # and the path cut in two
+                   from_edge_list(n, path[:n // 2] + path[n // 2 + 1:])]
+    for g in graphs:
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in g.edges.tolist():
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        seen, todo = {0}, [0]
+        while todo:
+            new = nbrs[todo.pop()] - seen
+            seen |= new
+            todo += new
+        assert is_connected(g) is (len(seen) == g.n)
+
+
+def test_emit_graph6_matches_the_bit_loop():
+    for seed in range(60):
+        g = gen_random(seed % 25, 0.4, seed)
+        adj = set(map(tuple, g.edges.tolist()))
+        bits = [int((i, j) in adj) for j in range(1, g.n) for i in range(j)]
+        bits += [0] * (-len(bits) % 6)
+        body = [int("".join(map(str, bits[k:k + 6])), 2)
+                for k in range(0, len(bits), 6)]
+        assert emit_graph6(g) == "".join(chr(63 + c) for c in [g.n] + body)
 
 
 def test_is_star():

@@ -227,7 +227,7 @@ def test_batched_lambda1_equals_single_solves():
     for name, g in harness_mod._non_star_fixtures():
         lams = [r.lambda1 for r in verify_graph(g, STRICTNESS_ALPHAS)]
         assert lams == [_single_lambda1(g, a) for a in STRICTNESS_ALPHAS], name
-        Delta = max(g.degrees())
+        Delta = max(g.degrees.tolist())
         margins += [lam - bound_g(Delta, a)
                     for lam, a in zip(lams, STRICTNESS_ALPHAS)]
     cert = certify_star_equality(20, 100)
