@@ -4,10 +4,11 @@ adjacency matrices.
 alpha = 0 gives the adjacency matrix, alpha = 1 the diagonal degree matrix,
 and alpha = 1/2 gives half the signless Laplacian. For alpha in [0, 1] the
 matrix is symmetric and entrywise nonnegative, and its row sums equal the
-vertex degrees for every alpha.
+vertex degrees for every alpha; .matrix is assembled on first read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,27 +19,33 @@ from .graphs import Graph
 
 @dataclass(frozen=True, eq=False)
 class AlphaMatrix:
-    """Dense realization of alpha*D + (1 - alpha)*A for one graph and alpha."""
+    """alpha*D + (1 - alpha)*A for one graph and one checked alpha."""
 
-    matrix: np.ndarray  # (n, n) float64, read-only
+    graph: Graph
     alpha: float
-    n: int
-    degrees: np.ndarray  # the graph's read-only degree array
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def degrees(self) -> np.ndarray:  # the graph's read-only degree array
+        return self.graph.degrees
 
     @property
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n else 0
 
+    @cached_property
+    def matrix(self) -> np.ndarray:  # (n, n) float64, read-only
+        m = _assemble(self.graph, (self.alpha,))[0]
+        m.flags.writeable = False
+        return m
 
-def alpha_stack(g: Graph, alphas, permissive: bool = False) -> np.ndarray:
-    """alpha*D + (1 - alpha)*A of g for each alpha in turn, as one
-    (k, n, n) float64 array: (1 - alpha)*A, then alpha*deg on the diagonal.
 
-    Every alpha must lie in [0, 1]; permissive mode relaxes the cap to
-    alpha >= 0 (the combination is defined there too, but entrywise
-    nonnegativity and the bound guarantees only cover [0, 1]).
-    """
-    a = np.array([check_alpha(x, permissive) for x in alphas], dtype=float)
+def _assemble(g: Graph, alphas) -> np.ndarray:
+    """alpha_stack for alphas that are already checked floats."""
+    a = np.array(alphas, dtype=float)
     u, v = g.edges.T
     # One allocation, scaled in place: a product into a second array would
     # fault in fresh pages for every large matrix.
@@ -50,13 +57,17 @@ def alpha_stack(g: Graph, alphas, permissive: bool = False) -> np.ndarray:
     return m
 
 
+def alpha_stack(g: Graph, alphas, permissive: bool = False) -> np.ndarray:
+    """alpha*D + (1 - alpha)*A of g for each alpha in turn, as one
+    (k, n, n) float64 array. Every alpha must lie in [0, 1]; permissive mode
+    admits any alpha >= 0, where the combination is defined but entrywise
+    nonnegativity and the bound guarantees no longer hold."""
+    return _assemble(g, [check_alpha(x, permissive) for x in alphas])
+
+
 def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> AlphaMatrix:
-    """Assemble alpha*D + (1 - alpha)*A for g: the stack of one of
-    alpha_stack, read-only."""
-    alpha = check_alpha(alpha, permissive)
-    m = alpha_stack(g, (alpha,), permissive)[0]
-    m.flags.writeable = False
-    return AlphaMatrix(m, alpha, g.n, g.degrees)
+    """alpha*D + (1 - alpha)*A of g, alpha checked; .matrix built on read."""
+    return AlphaMatrix(g, check_alpha(alpha, permissive))
 
 
 def matvec(am: AlphaMatrix, x) -> np.ndarray:

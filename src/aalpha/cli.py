@@ -74,16 +74,13 @@ def _load_graph(args) -> tuple[str, Graph]:
         gid = f"edgelist:{args.edgelist}"
     else:
         gid, g = _parse_gen(args.gen)
-    k = getattr(args, "add_isolated", 0) or 0
-    if k:
-        if k < 0:
-            raise InputError(f"--add-isolated must be nonnegative, got {k}")
-        g = add_isolated(g, k)
-        gid += f"+iso{k}"
+    if args.add_isolated:
+        g = add_isolated(g, args.add_isolated)
+        gid += f"+iso{args.add_isolated}"
     return gid, g
 
 
-def _add_graph_source(p: argparse.ArgumentParser, with_isolated: bool) -> None:
+def _add_graph_source(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph6", metavar="FILE",
                      help="file whose first line is a graph6 string")
@@ -91,9 +88,8 @@ def _add_graph_source(p: argparse.ArgumentParser, with_isolated: bool) -> None:
                      help="file in 'n m' + edge-lines format")
     src.add_argument("--gen", metavar="SPEC",
                      help="star:N | complete:N | cycle:N | random:N,P,SEED")
-    if with_isolated:
-        p.add_argument("--add-isolated", type=int, default=0, metavar="K",
-                       help="append K isolated vertices to the graph")
+    p.add_argument("--add-isolated", type=int, default=0, metavar="K",
+                   help="append K isolated vertices to the graph")
 
 
 def _alpha_list(text: str) -> list[float]:
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", help="bound checks on one graph")
-    _add_graph_source(p, with_isolated=True)
+    _add_graph_source(p)
     p.add_argument("--alphas", required=True,
                    help="comma-separated alpha values in [0, 1]")
     p.add_argument("--method", choices=("dense", "jacobi", "power"))
@@ -231,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify_stars)
 
     p = sub.add_parser("spectral", help="spectral radius of one alpha matrix")
-    _add_graph_source(p, with_isolated=True)
+    _add_graph_source(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", choices=("dense", "jacobi", "power"))
     p.set_defaults(fn=_cmd_spectral)

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .alpha_matrix import alpha_stack, build_alpha_matrix
+from .alpha_matrix import _assemble, build_alpha_matrix
 from .bounds import (_BOOLS, DEFAULT_EPSILON, ORDERINGS, WITNESSES, Ordering,
                      Witness, _classify_codes, _f_kernel, _g_kernel,
                      _numeric_code, check_alpha)
@@ -230,7 +230,7 @@ def default_graph_id(g: Graph) -> str:
 
 def _lambda1s(g: Graph, alphas, method: str | None,
               graph_id: str) -> list[float]:
-    """lambda1 of g's alpha matrix at each alpha, in order.
+    """lambda1 of g's alpha matrix at each alpha (checked floats), in order.
 
     On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
     vertices, or method "dense") the alphas are solved in stacks of at most
@@ -247,7 +247,7 @@ def _lambda1s(g: Graph, alphas, method: str | None,
         batch = alphas[i:i + step]
         try:
             if dense:
-                results = spectral_radii_dense(alpha_stack(g, batch))
+                results = spectral_radii_dense(_assemble(g, batch))
             else:
                 results = [spectral_radius(build_alpha_matrix(g, batch[0]),
                                            method)]
@@ -593,20 +593,21 @@ def _malformed(text: str, header, reason) -> InputError:
 
 
 def _csv_columns(text: str) -> tuple[tuple[str, ...], dict]:
-    """The header and columns of a CSV report, read by np.loadtxt and
-    decoded cell kind by cell kind; an empty file is an empty verification
-    report."""
-    header = tuple(next(csv.reader(io.StringIO(text)), VERIFICATION_COLUMNS))
+    """The header and columns of a CSV report, read line by line (a StringIO
+    holds 4 bytes a character) by csv and np.loadtxt, and decoded cell kind
+    by cell kind; an empty file is an empty verification report."""
+    first, _, body = text.partition("\n")
+    header = tuple(next(csv.reader([first] if text else []),
+                        VERIFICATION_COLUMNS))
     if header not in (SWEEP_COLUMNS, VERIFICATION_COLUMNS):
         raise InputError(f"unrecognized report header {header!r}")
-    body = text.partition("\n")[2]
     dtype = [(name, _CELLS[name].field) for name in header]
     if not body.strip():  # header only; np.loadtxt would warn of no data
         data = np.empty(0, dtype)
     else:
         try:
-            data = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
-                              quotechar='"', comments=None, ndmin=1)
+            data = np.loadtxt((s + "\n" for s in body.split("\n")), dtype=dtype,
+                              delimiter=",", quotechar='"', comments=None, ndmin=1)
         except (ValueError, OverflowError) as exc:
             raise _malformed(text, header, exc) from None
     columns = {}

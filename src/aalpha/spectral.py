@@ -5,11 +5,10 @@ For a symmetric entrywise-nonnegative matrix the spectral radius equals the
 largest eigenvalue, which every solver here targets directly. The dispatcher
 sends n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric eigensolver through
 numpy.linalg.eigh and larger graphs to shifted power iteration over the
-matrix's nonzero entries. The dense solver takes a (k, n, n) stack of
-matrices in one LAPACK call, so a campaign solves all the alphas of a graph
-together; a single matrix is a stack of one. Cyclic Jacobi
-diagonalization and power iteration share no code with each other or with
-LAPACK, so each serves as an oracle for the others.
+graph's edge array. The dense solver takes a (k, n, n) stack of matrices in
+one LAPACK call, so a campaign solves all the alphas of a graph together; a
+single matrix is a stack of one. Cyclic Jacobi and power iteration share
+no code with each other or with LAPACK; each is an oracle for the others.
 """
 
 import math
@@ -135,8 +134,9 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
     package builds. Stops when successive Rayleigh estimates differ by at most
     tol and the residual ||m v - est v|| is at most 10*tol.
 
-    Each step multiplies by the nonzero entries only (found once), so a step
-    costs O(n + edges) rather than O(n^2).
+    The entries are read from the graph's edge and degree arrays, diagonal
+    and zero entries included, in the dense matrix's row-major order; set-up
+    and each step cost O(n + m) time and memory, and m.matrix is never built.
     """
     n = m.n
     if n < 1:
@@ -145,8 +145,10 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
         raise InputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    rows, cols = np.nonzero(m.matrix)
-    vals = m.matrix[rows, cols]
+    e, idx = m.graph.edges.T, np.arange(n)
+    rc = np.concatenate((e, e[::-1], (idx, idx)), axis=1)
+    rows, cols = rc[:, np.argsort(rc[0] * n + rc[1])]  # row-major, as m.matrix
+    vals = np.where(rows == cols, m.alpha * m.degrees[rows], 1.0 - m.alpha)
     shift = float(m.max_degree)
     v = 1.0 + 1e-3 * (np.arange(1, n + 1) / n)
     v /= np.linalg.norm(v)

@@ -199,6 +199,8 @@ def test_spectral_random_gen(capsys):
     ("verify", "--gen", "spiral:4", "--alphas", "0.5", "--out", "/tmp/x.csv"),
     ("verify", "--gen", "random:4,0.5", "--alphas", "0.5", "--out", "/tmp/x.csv"),
     ("verify", "--gen", "star:4", "--alphas", "abc", "--out", "/tmp/x.csv"),
+    ("verify", "--gen", "star:4", "--add-isolated", "-1", "--alphas", "0.5",
+     "--out", "/tmp/x.csv"),
     ("spectral", "--graph6", "/does/not/exist.g6", "--alpha", "0.5"),
     ("sweep", "--delta-max", "4", "--Delta-max", "2", "--alpha-steps", "5",
      "--out", "/tmp/x.csv"),

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import aalpha.alpha_matrix as alpha_matrix_mod
 import aalpha.harness as harness_mod
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, EQUALITY_TOL,
                     Graph, InputError, Ordering, STRICTNESS_ALPHAS,
@@ -271,6 +272,23 @@ def test_certify_star_equality_one_lapack_call_per_graph(monkeypatch):
     assert calls == [(6, 400, 400), (1, 400, 400)]  # 10**6 // 400**2 = 6
 
 
+def test_each_alpha_is_checked_once(monkeypatch):
+    """verify_graph checks each alpha and assembly does not check it again;
+    certify_star_equality builds its own alphas and checks none."""
+    calls = []
+    for mod in (alpha_matrix_mod, harness_mod):
+        def counted(alpha, *args, _check=mod.check_alpha, **kwargs):
+            calls.append(alpha)
+            return _check(alpha, *args, **kwargs)
+        monkeypatch.setattr(mod, "check_alpha", counted)
+    assert len(random_campaign()) == len(calls) == 1485
+    calls.clear()
+    certify_star_equality(20, 100)
+    assert calls == []
+    build_alpha_matrix(gen_star(4), 0.3)
+    assert calls == [0.3]
+
+
 def test_dense_stack_memory_is_bounded():
     """A stack holds at most DISPATCH_DENSE_LIMIT**2 entries: 20 alphas of
     G(500, .05) as one stack would be 40 MB by itself."""
@@ -284,6 +302,24 @@ def test_dense_stack_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 4 * DISPATCH_DENSE_LIMIT ** 2 * 8, f"peak {peak / 1e6:.1f} MB"
     assert records == [verify_graph(g, [a])[0] for a in alphas]
+
+
+def test_csv_parse_memory_is_bounded(tmp_path):
+    """parse_report reads a CSV report's lines, not a StringIO, which holds
+    4 bytes a character: on a 2.9 MB sweep report it peaks at about 4.3
+    times the file size, against 6.8 through StringIO."""
+    table = sweep_grid(20, 20, 100)
+    path = tmp_path / "sweep.csv"
+    emit_report(table, "csv", path, kind="sweep")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        back = parse_report(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * size, f"peak {peak / size:.1f} x the file size"
+    assert render_report(back, "csv") == path.read_text(encoding="ascii")
 
 
 def test_verification_violations_filter():

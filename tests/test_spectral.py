@@ -1,6 +1,7 @@
 """The eigensolvers against closed-form spectra, each other, and numpy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,10 +146,19 @@ def test_dispatcher():
 
 
 def test_dispatcher_uses_power_above_limit():
+    """Above the limit, building and solving stay O(n + m) in memory: no
+    n x n matrix (8 MB here) is assembled."""
     g = add_isolated(gen_star(150), DISPATCH_DENSE_LIMIT - 150 + 1)
-    am = build_alpha_matrix(g, 0.5)
+    tracemalloc.start()
+    try:
+        am = build_alpha_matrix(g, 0.5)
+        res = spectral_radius(am)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+    assert "matrix" not in vars(am)  # .matrix was never read
     assert am.n == DISPATCH_DENSE_LIMIT + 1
-    res = spectral_radius(am)
     assert res.method == "power"
     from aalpha import bound_g
     assert abs(res.lambda1 - bound_g(149, 0.5)) <= 1e-8
@@ -192,13 +202,58 @@ def test_small_gap_path_matches_eigvalsh():
 
 
 def test_power_nonzero_matvec_matches_dense_product():
-    """The power path multiplies over nonzero entries only; on a graph with
-    isolated vertices and zero rows it still agrees with LAPACK."""
+    """The power path reads the edge array; on a graph with isolated
+    vertices and zero rows it still agrees with LAPACK."""
     g = add_isolated(gen_random(60, 0.1, 5), 7)
     for alpha in ALPHAS:
         am = build_alpha_matrix(g, alpha)
         rp = spectral_radius_power(am)
         assert abs(rp.lambda1 - spectral_radius_dense(am).lambda1) <= 1e-8
+
+
+def _power_over_dense_scan(am, tol=1e-10, max_iter=100000):
+    """Power iteration as it ran over np.nonzero of the dense matrix: the
+    reference that the edge-array set-up must match bit for bit."""
+    n = am.n
+    rows, cols = np.nonzero(am.matrix)
+    vals = am.matrix[rows, cols]
+    shift = float(am.max_degree)
+    v = 1.0 + 1e-3 * (np.arange(1, n + 1) / n)
+    v /= np.linalg.norm(v)
+    prev, est, resid = math.inf, 0.0, math.inf
+    for it in range(1, max_iter + 1):
+        av = np.bincount(rows, weights=vals * v[cols], minlength=n)
+        est = float(v @ av)
+        resid = float(np.linalg.norm(av - est * v))
+        if abs(est - prev) <= tol and resid <= 10.0 * tol:
+            return ("ok", est, resid, it)
+        prev = est
+        y = av + shift * v
+        ny = float(np.linalg.norm(y))
+        if ny == 0.0:
+            return ("ok", 0.0, 0.0, it)
+        v = y / ny
+    return ("fail", est, resid, max_iter)
+
+
+def test_power_matches_the_dense_scan_bit_for_bit():
+    """Power iteration reads the edge array in the dense matrix's row-major
+    order, so every estimate, residual and iteration count, and the evidence
+    of a failure, equals a run over the dense matrix's nonzero entries."""
+    graphs = (add_isolated(gen_random(60, 0.1, 5), 7), gen_star(6),
+              Graph(5, ()), gen_complete(2))
+    for g in graphs:
+        for alpha in (0.0, 0.25, 1 / 3, 1.0, 1.5):
+            am = build_alpha_matrix(g, alpha, permissive=True)
+            ref = _power_over_dense_scan(am)
+            got = spectral_radius_power(am)
+            assert ref == ("ok", got.lambda1, got.residual, got.iterations)
+    am = build_alpha_matrix(graphs[0], 0.25)
+    with pytest.raises(ConvergenceError) as ei:
+        spectral_radius_power(am, max_iter=2)
+    err = ei.value
+    assert _power_over_dense_scan(am, max_iter=2) == \
+        ("fail", err.estimate, err.residual, err.iterations)
 
 
 def test_dense_stack_matches_single_solves():
