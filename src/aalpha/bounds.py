@@ -64,36 +64,41 @@ WITNESSES = tuple(Witness)
 _BOOLS = (bool, np.bool_)
 
 
-def check_degrees(delta, Delta) -> tuple[int, int]:
-    """The one domain check for degree arguments: integers (a bool is
-    refused, not read as 0 or 1) with 0 <= delta <= Delta."""
+def check_int(name: str, value, low: int = 0) -> int:
+    """The one domain check for an integer argument (a degree, count, limit,
+    seed or iteration cap): an integer of at least low, named in the error;
+    a bool is refused, not read as 0 or 1."""
     try:
-        if isinstance(delta, _BOOLS) or isinstance(Delta, _BOOLS):
-            raise TypeError("a bool is not a degree")
-        d, dd = operator.index(delta), operator.index(Delta)
+        if isinstance(value, _BOOLS):
+            raise TypeError("a bool is not an integer")
+        value = operator.index(value)
     except TypeError:
-        raise InputError(f"degrees must be integers, got delta={delta!r}, "
-                         f"Delta={Delta!r}") from None
-    if dd < 0:
-        raise InputError(f"Delta must be nonnegative, got {dd}")
-    if not 0 <= d <= dd:
-        raise InputError(f"need 0 <= delta <= Delta, got ({d}, {dd})")
-    return d, dd
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
-def check_alpha(alpha, permissive: bool = False) -> float:
-    """The one domain check for alpha: a finite real in [0, 1], or any
-    alpha >= 0 when permissive; a bool is refused, not read as 0 or 1."""
+def check_degrees(delta, Delta) -> tuple[int, int]:
+    """Degree arguments: integers with 0 <= delta <= Delta."""
+    delta = check_int("delta", delta)
+    return delta, check_int("Delta", Delta, delta)
+
+
+def check_alpha(alpha, permissive: bool = False, *, name: str = "alpha") -> float:
+    """The one domain check for alpha, and for any real on alpha's domain
+    (name labels the errors): a finite real in [0, 1], or any value >= 0
+    when permissive; a bool or text is refused, not read as a number."""
     try:
-        if isinstance(alpha, _BOOLS):
-            raise TypeError("a bool is not an alpha")
+        if isinstance(alpha, (*_BOOLS, str, bytes)):
+            raise TypeError("a bool or text is not a real")
         a = float(alpha)
     except (TypeError, ValueError):
-        raise InputError(f"alpha must be a real number, got {alpha!r}") from None
+        raise InputError(f"{name} must be a real number, got {alpha!r}") from None
     if not math.isfinite(a):
-        raise InputError(f"alpha must be finite, got {a}")
+        raise InputError(f"{name} must be finite, got {a}")
     if not 0.0 <= a <= (math.inf if permissive else 1.0):
-        cap = "alpha >= 0" if permissive else "alpha in [0, 1]"
+        cap = f"{name} >= 0" if permissive else f"{name} in [0, 1]"
         raise InputError(f"need {cap}, got {a}")
     return a
 
@@ -219,36 +224,32 @@ def classify(delta: int, Delta: int, alpha: float) -> tuple[Ordering, Witness]:
     return _classify_kernel(delta, Delta, check_alpha(alpha))
 
 
-def _numeric_code(diff, epsilon: float = DEFAULT_EPSILON):
+def _numeric_code(diff):
     """Code (position in ORDERINGS) of the ordering read off the sign of
-    diff = f - g with a dead zone of epsilon, for a scalar or an array.
-    ORDERINGS is (GREATER, EQUAL, LESS), so the code is EQUAL's 1, less one
-    above the dead zone and plus one below it."""
-    return 1 - (diff > epsilon) + (diff < -epsilon)
+    diff = f - g with a dead zone of DEFAULT_EPSILON, for a scalar or an
+    array. ORDERINGS is (GREATER, EQUAL, LESS), so the code is EQUAL's 1,
+    less one above the dead zone and plus one below it."""
+    return 1 - (diff > DEFAULT_EPSILON) + (diff < -DEFAULT_EPSILON)
 
 
-def numeric_ordering(f_value: float, g_value: float,
-                     epsilon: float = DEFAULT_EPSILON) -> Ordering:
-    """Ordering read off the sign of f - g with a dead zone of epsilon."""
-    return ORDERINGS[_numeric_code(f_value - g_value, epsilon)]
+def numeric_ordering(f_value: float, g_value: float) -> Ordering:
+    """Ordering read off the sign of f - g with a dead zone of DEFAULT_EPSILON."""
+    return ORDERINGS[_numeric_code(f_value - g_value)]
 
 
-def compare_numeric(delta: int, Delta: int, alpha: float,
-                    epsilon: float = DEFAULT_EPSILON) -> BoundComparison:
+def compare_numeric(delta: int, Delta: int, alpha: float) -> BoundComparison:
     """Evaluate f and g and check the numeric sign against classify.
 
     A disagreement raises ConsistencyError carrying both verdicts; it would
     mean either the formulas or the trichotomy is implemented wrong, so it
     is a test oracle rather than a recoverable condition.
     """
-    if not epsilon > 0.0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
     delta, Delta = check_degrees(delta, Delta)
     alpha = check_alpha(alpha)
     f = _f_kernel(delta, Delta, alpha)
     g = _g_kernel(Delta, alpha)
     symbolic, witness = _classify_kernel(delta, Delta, alpha)
-    numeric = numeric_ordering(f, g, epsilon)
+    numeric = numeric_ordering(f, g)
     if numeric is not symbolic:
         raise ConsistencyError(
             f"numeric ordering {numeric.value} contradicts symbolic "

@@ -49,6 +49,8 @@ def _parse_gen(spec: str) -> tuple[str, Graph]:
                     f"random generator needs N,P,SEED, got {args!r}")
             return spec, gen_random(int(parts[0]), float(parts[1]),
                                     int(parts[2]))
+    except InputError:  # the generator's own error names the argument
+        raise
     except ValueError:
         raise InputError(f"malformed generator arguments in {spec!r}")
     raise InputError(

@@ -30,9 +30,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .alpha_matrix import _assemble, build_alpha_matrix
-from .bounds import (_BOOLS, DEFAULT_EPSILON, ORDERINGS, WITNESSES, Ordering,
-                     Witness, _classify_codes, _f_kernel, _g_kernel,
-                     _numeric_code, check_alpha)
+from .bounds import (ORDERINGS, WITNESSES, Ordering, Witness, _classify_codes,
+                     _f_kernel, _g_kernel, _numeric_code, check_alpha,
+                     check_int)
 from .errors import ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, degree_profile, emit_graph6,
                      from_edge_list, gen_complete, gen_cycle, gen_random,
@@ -161,20 +161,6 @@ class StarCertification(NamedTuple):
     passed: bool
 
 
-def _check_limit(name: str, value, low: int) -> int:
-    """The one check for a campaign's size limits: an integer (a bool is
-    refused, not read as 0 or 1) of at least low."""
-    try:
-        if isinstance(value, _BOOLS):
-            raise TypeError("a bool is not a limit")
-        value = operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
-    if value < low:
-        raise InputError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
 def sweep_grid(delta_max: int, Delta_max: int,
                alpha_steps: int) -> SweepTable:
     """Every (delta, Delta, alpha) with 0 <= delta <= min(Delta, delta_max),
@@ -187,9 +173,9 @@ def sweep_grid(delta_max: int, Delta_max: int,
     columns come from the same kernels as bound_f, bound_g, classify and
     numeric_ordering, run over whole arrays, and equal them bit for bit.
     """
-    delta_max = _check_limit("delta_max", delta_max, 0)
-    Delta_max = _check_limit("Delta_max", Delta_max, delta_max)
-    alpha_steps = _check_limit("alpha_steps", alpha_steps, 1)
+    delta_max = check_int("delta_max", delta_max)
+    Delta_max = check_int("Delta_max", Delta_max, delta_max)
+    alpha_steps = check_int("alpha_steps", alpha_steps, 1)
     # The upper triangle of the (delta_max+1) x (Delta_max+1) index grid, in
     # row-major order, is exactly the (delta, Delta) pairs in sweep order.
     delta, Delta = np.triu_indices(delta_max + 1, 0, Delta_max + 1)
@@ -202,7 +188,7 @@ def sweep_grid(delta_max: int, Delta_max: int,
     g = _g_kernel(fDelta, alpha, np)
     diff = f - g
     symbolic, witness = _classify_codes(delta, Delta, alpha)
-    numeric = _numeric_code(diff, DEFAULT_EPSILON)
+    numeric = _numeric_code(diff)
     return SweepTable(dict(zip(SWEEP_COLUMNS, (
         delta, Delta, alpha, f, g, diff, symbolic, numeric, witness,
         symbolic == numeric))))
@@ -349,8 +335,8 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     alpha_steps = 100, or the four of a non-star, in one call per graph.
     "jacobi" or "power" force an oracle, one call per alpha.
     """
-    Delta_max = _check_limit("Delta_max", Delta_max, 1)
-    alpha_steps = _check_limit("alpha_steps", alpha_steps, 1)
+    Delta_max = check_int("Delta_max", Delta_max, 1)
+    alpha_steps = check_int("alpha_steps", alpha_steps, 1)
     alphas = [k / alpha_steps for k in range(alpha_steps + 1)]
     failures = []
     eq_checks = 0

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha_matrix import AlphaMatrix
+from .bounds import check_int
 from .errors import ConvergenceError, InputError
 
 JACOBI_MAX_SWEEPS = 100
@@ -143,8 +144,7 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
         raise InputError("spectral radius needs at least one vertex")
     if not tol > 0.0:
         raise InputError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = check_int("max_iter", max_iter, 1)
     e, idx = m.graph.edges.T, np.arange(n)
     rc = np.concatenate((e, e[::-1], (idx, idx)), axis=1)
     rows, cols = rc[:, np.argsort(rc[0] * n + rc[1])]  # row-major, as m.matrix

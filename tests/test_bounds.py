@@ -11,12 +11,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from aalpha import (BoundComparison, ConsistencyError, InputError, Ordering,
-                    Witness, add_isolated, bound_f, bound_g,
+from aalpha import (BoundComparison, ConsistencyError, Graph, InputError,
+                    Ordering, Witness, add_isolated, bound_f, bound_g,
                     build_alpha_matrix, certify_star_equality, classify,
                     compare_numeric, gen_circulant, gen_complete, gen_cycle,
-                    gen_random, gen_star, numeric_ordering, sqrt_arg_identity,
-                    sweep_grid, verify_graph)
+                    gen_random, gen_star, numeric_ordering,
+                    spectral_radius_power, sqrt_arg_identity, sweep_grid,
+                    verify_graph)
 
 mpmath.mp.dps = 50
 
@@ -201,9 +202,63 @@ def test_classify_domain():
         "gen_complete-n", "gen_circulant-n", "gen_random-n", "gen_random-p",
         "add_isolated-k"])
 def test_bool_is_not_a_degree_or_alpha(call):
-    """Every entry point shares one domain check (one limit check for the
-    campaigns, Graph's integer check for the generators' counts), and it
-    refuses a bool rather than reading it as 0 or 1."""
+    """Every entry point shares one domain check for integers and one for
+    alpha, and both refuse a bool rather than reading it as 0 or 1."""
+    with pytest.raises(InputError):
+        call()
+
+
+# Every public integer parameter, keyed "entry-name" with the name as the
+# error spells it: (a call with the value in its place, a valid value, the
+# least valid value).
+INT_PARAMS = {
+    "delta": (lambda v: bound_f(v, 3, 0.5), 2, 0),
+    "Delta": (lambda v: bound_f(2, v, 0.5), 3, 2),
+    "sweep-delta_max": (lambda v: sweep_grid(v, 3, 4), 1, 0),
+    "sweep-Delta_max": (lambda v: sweep_grid(1, v, 4), 3, 1),
+    "sweep-alpha_steps": (lambda v: sweep_grid(1, 3, v), 4, 1),
+    "certify-Delta_max": (lambda v: certify_star_equality(v, 4), 3, 1),
+    "certify-alpha_steps": (lambda v: certify_star_equality(3, v), 4, 1),
+    "Graph-n": (lambda v: Graph(v, ((0, 1),)), 3, 0),
+    "gen_star-n": (gen_star, 5, 2),
+    "gen_complete-n": (gen_complete, 4, 1),
+    "gen_cycle-n": (gen_cycle, 5, 3),
+    "gen_circulant-n": (lambda v: gen_circulant(v, [1, 2]), 6, 0),
+    "gen_circulant-offset": (lambda v: gen_circulant(6, [1, v]), 2, 1),
+    "gen_random-n": (lambda v: gen_random(v, 0.5, 3), 9, 0),
+    "gen_random-seed": (lambda v: gen_random(9, 0.5, v), 3, 0),
+    "add_isolated-k": (lambda v: add_isolated(gen_cycle(4), v), 2, 0),
+    "power-max_iter": (lambda v: spectral_radius_power(
+        build_alpha_matrix(gen_cycle(5), 0.5), max_iter=v), 1000, 1),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.5, None, "3", "low - 1"],
+                         ids=["True", "np.True_", "2.5", "None", "text",
+                              "low-1"])
+@pytest.mark.parametrize("param", INT_PARAMS)
+def test_integer_parameters_share_one_check(param, bad):
+    """A bool, a float, None, text or a value below the least valid one is
+    refused with an InputError that names the argument."""
+    call, _, low = INT_PARAMS[param]
+    with pytest.raises(InputError) as ei:
+        call(low - 1 if bad == "low - 1" else bad)
+    assert str(ei.value).startswith(param.rsplit("-", 1)[-1] + " must be")
+
+
+@pytest.mark.parametrize("param", INT_PARAMS)
+def test_integer_parameters_read_numpy_integers(param):
+    call, ok, _ = INT_PARAMS[param]
+    assert call(np.int64(ok)) == call(ok)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gen_random(5, None, 0),
+    lambda: gen_random(5, "0.5", 0),
+    lambda: classify(2, 3, "0.5"),
+    lambda: verify_graph(gen_cycle(4), [0.5, "0.5"]),
+], ids=["p-None", "p-text", "alpha-text", "verify_graph-alpha-text"])
+def test_none_or_text_is_not_a_real(call):
     with pytest.raises(InputError):
         call()
 
@@ -226,7 +281,6 @@ def test_numeric_ordering_thresholds():
     assert numeric_ordering(1.0 + 2e-9, 1.0) is Ordering.GREATER
     assert numeric_ordering(1.0 + 5e-10, 1.0) is Ordering.EQUAL
     assert numeric_ordering(1.0 - 2e-9, 1.0) is Ordering.LESS
-    assert numeric_ordering(2.0, 1.0, epsilon=5.0) is Ordering.EQUAL
 
 
 def test_compare_numeric_examples():
@@ -239,8 +293,6 @@ def test_compare_numeric_examples():
     c = compare_numeric(1, 7, 0.3)
     assert c.ordering is Ordering.EQUAL
     assert abs(c.difference) <= 1e-12
-    with pytest.raises(InputError):
-        compare_numeric(1, 7, 0.3, epsilon=0.0)
 
 
 def test_compare_numeric_agrees_with_classify_on_grid():

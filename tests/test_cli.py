@@ -198,6 +198,7 @@ def test_spectral_random_gen(capsys):
     ("verify", "--gen", "star:1", "--alphas", "0.5", "--out", "/tmp/x.csv"),
     ("verify", "--gen", "spiral:4", "--alphas", "0.5", "--out", "/tmp/x.csv"),
     ("verify", "--gen", "random:4,0.5", "--alphas", "0.5", "--out", "/tmp/x.csv"),
+    ("spectral", "--gen", "random:5,0.5,-1", "--alpha", "0.5"),
     ("verify", "--gen", "star:4", "--alphas", "abc", "--out", "/tmp/x.csv"),
     ("verify", "--gen", "star:4", "--add-isolated", "-1", "--alphas", "0.5",
      "--out", "/tmp/x.csv"),
@@ -209,6 +210,17 @@ def test_input_errors_exit_two(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("star:1", "n must be >= 2, got 1"),
+    ("random:5,0.5,-1", "seed must be >= 0, got -1"),
+    ("random:5,1.5,0", "need p in [0, 1], got 1.5"),
+])
+def test_generator_error_names_the_argument(capsys, spec, message):
+    rc, _, err = run(capsys, "spectral", "--gen", spec, "--alpha", "0.5")
+    assert rc == 2
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flag, data", [
