@@ -57,12 +57,10 @@ def _assemble(g: Graph, alphas) -> np.ndarray:
     return m
 
 
-def alpha_stack(g: Graph, alphas, permissive: bool = False) -> np.ndarray:
+def alpha_stack(g: Graph, alphas) -> np.ndarray:
     """alpha*D + (1 - alpha)*A of g for each alpha in turn, as one
-    (k, n, n) float64 array. Every alpha must lie in [0, 1]; permissive mode
-    admits any alpha >= 0, where the combination is defined but entrywise
-    nonnegativity and the bound guarantees no longer hold."""
-    return _assemble(g, [check_alpha(x, permissive) for x in alphas])
+    (k, n, n) float64 array. Every alpha must lie in [0, 1]."""
+    return _assemble(g, [check_alpha(x) for x in alphas])
 
 
 def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> AlphaMatrix:

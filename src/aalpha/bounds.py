@@ -79,6 +79,19 @@ def check_int(name: str, value, low: int = 0) -> int:
     return value
 
 
+def check_seq(name: str, value) -> list:
+    """The items of a sequence argument (alphas, offsets, a campaign's
+    values) as a list; a lone number or text is refused, named in the
+    error."""
+    try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError("text is not a sequence of values")
+        items = iter(value)
+    except TypeError:
+        raise InputError(f"{name} must be a sequence, got {value!r}") from None
+    return list(items)
+
+
 def check_degrees(delta, Delta) -> tuple[int, int]:
     """Degree arguments: integers with 0 <= delta <= Delta."""
     delta = check_int("delta", delta)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import check_alpha, check_int
+from .bounds import check_alpha, check_int, check_seq
 from .errors import InputError, ParseError, UnsupportedSizeError
 
 GRAPH6_MAX_N = 62
@@ -236,7 +236,8 @@ def gen_cycle(n: int) -> Graph:
 
 def gen_circulant(n: int, offsets) -> Graph:
     """Circulant graph: i ~ (i + o) mod n for each offset o in [1, n/2]."""
-    n, offs = check_int("n", n), [check_int("offset", o, 1) for o in offsets]
+    n = check_int("n", n)
+    offs = [check_int("offset", o, 1) for o in check_seq("offsets", offsets)]
     if not offs or 2 * max(offs) > n:
         raise InputError(f"a circulant needs offsets in [1, n/2], got n = {n}, "
                          f"offsets {offs}")

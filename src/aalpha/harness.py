@@ -14,10 +14,12 @@ A sweep comes back as a SweepTable: one numpy array per report column, with
 orderings and witnesses as small integer codes, which still reads as a
 sequence of SweepRecord tuples. Graph checks are lists of VerificationRecord
 tuples. emit_report and parse_report round-trip both through CSV or JSON
-without precision loss, by way of the column arrays of one schema, _CELLS;
-CSV quotes a graph_id holding a comma, a quote, a carriage return or a line
-feed. A malformed report raises InputError naming its first bad CSV line, or
-its first bad JSON record (the line and column of text that is not JSON).
+without precision loss, by way of the column arrays of one schema, _CELLS.
+Reports are UTF-8 text, so a graph_id may hold any character: CSV quotes one
+holding a comma, a quote, a carriage return or a line feed, and JSON escapes
+what is not ASCII. A malformed report raises InputError naming its first bad
+CSV line, or its first bad JSON record (the line and column of text that is
+not JSON); so does a file that is not UTF-8.
 """
 
 import csv
@@ -32,7 +34,7 @@ import numpy as np
 from .alpha_matrix import _assemble, build_alpha_matrix
 from .bounds import (ORDERINGS, WITNESSES, Ordering, Witness, _classify_codes,
                      _f_kernel, _g_kernel, _numeric_code, check_alpha,
-                     check_int)
+                     check_int, check_seq)
 from .errors import ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, degree_profile, emit_graph6,
                      from_edge_list, gen_complete, gen_cycle, gen_random,
@@ -256,11 +258,13 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     graphs, where g > 0 = lambda1 — verification_violations applies the
     edge-count exclusion. On the dense path all the alphas go through one
     LAPACK call (one per DISPATCH_DENSE_LIMIT**2 entries of the stack);
-    each lambda1 equals a solve of that matrix alone, bit for bit.
+    each lambda1 equals a solve of that matrix alone, bit for bit. method
+    None is the spectral_radius dispatcher; "jacobi" or "power" force an
+    oracle, one call per alpha.
     """
     if g.n < 2:
         raise InputError(f"verification needs n >= 2, got n = {g.n}")
-    alphas = [check_alpha(a) for a in alpha_list]
+    alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
     if graph_id is None:
         graph_id = default_graph_id(g)
     prof = degree_profile(g)
@@ -288,14 +292,21 @@ def verification_violations(records) -> list[VerificationRecord]:
 
 def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
                     seeds=range(3), isolated_counts=(0, 1, 2),
-                    alpha_list=(0.0, 0.25, 0.5, 0.75, 1.0),
-                    method: str | None = None) -> list[VerificationRecord]:
+                    alpha_list=(0.0, 0.25, 0.5, 0.75, 1.0)
+                    ) -> list[VerificationRecord]:
     """Bound checks over a deterministic family of random graphs.
 
     The defaults draw G(n, p) for n in [2, 12], p in {0.2, 0.5, 0.8}, three
     seeds each, and retest every draw with 1 and 2 extra isolated vertices
-    (297 graphs). Records come back sorted by (graph_id, alpha).
+    (297 graphs). Records come back sorted by (graph_id, alpha). Every
+    argument is a sequence, and every graph is solved by the spectral_radius
+    dispatcher; verify_graph's method forces an oracle on one graph.
     """
+    n_values = check_seq("n_values", n_values)
+    p_values = check_seq("p_values", p_values)
+    seeds = check_seq("seeds", seeds)
+    isolated_counts = check_seq("isolated_counts", isolated_counts)
+    alpha_list = check_seq("alpha_list", alpha_list)
     records = []
     for n in n_values:
         for p in p_values:
@@ -305,7 +316,7 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
                 for k in isolated_counts:
                     g = add_isolated(base, k) if k else base
                     gid = base_id + (f"+iso{k}" if k else "")
-                    records.extend(verify_graph(g, alpha_list, method, gid))
+                    records.extend(verify_graph(g, alpha_list, graph_id=gid))
     records.sort(key=lambda r: (r.graph_id, r.alpha))
     return records
 
@@ -321,8 +332,7 @@ def _non_star_fixtures() -> list[tuple[str, Graph]]:
     ]
 
 
-def certify_star_equality(Delta_max: int, alpha_steps: int,
-                          method: str | None = None) -> StarCertification:
+def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification:
     """Equality certification for stars, strictness for non-stars.
 
     For every Delta in [1, Delta_max] and alpha = k/alpha_steps the star
@@ -330,10 +340,9 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     connected non-star set (C4, C5, K4, P4, K23) must satisfy
     lambda1 > g + 1e-6 at alpha in {0, 0.25, 0.5, 0.75}. alpha = 1 is left
     out of the strictness set because lambda1 = Delta = g there for every
-    graph. method None means the spectral_radius dispatcher, which solves
-    these small matrices with LAPACK: the 101 alphas of a star at
-    alpha_steps = 100, or the four of a non-star, in one call per graph.
-    "jacobi" or "power" force an oracle, one call per alpha.
+    graph. The spectral_radius dispatcher solves these small matrices with
+    LAPACK: the 101 alphas of a star at alpha_steps = 100, or the four of a
+    non-star, in one call per graph.
     """
     Delta_max = check_int("Delta_max", Delta_max, 1)
     alpha_steps = check_int("alpha_steps", alpha_steps, 1)
@@ -342,7 +351,7 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     eq_checks = 0
     max_gap = 0.0
     for Delta in range(1, Delta_max + 1):
-        lams = _lambda1s(gen_star(Delta + 1), alphas, method,
+        lams = _lambda1s(gen_star(Delta + 1), alphas, None,
                          f"star Delta={Delta}")
         for alpha, lam in zip(alphas, lams):
             gap = abs(lam - _g_kernel(Delta, alpha))
@@ -355,7 +364,7 @@ def certify_star_equality(Delta_max: int, alpha_steps: int,
     min_margin = float("inf")
     for name, g in _non_star_fixtures():
         Delta = degree_profile(g).max_degree
-        lams = _lambda1s(g, STRICTNESS_ALPHAS, method, name)
+        lams = _lambda1s(g, STRICTNESS_ALPHAS, None, name)
         for alpha, lam in zip(STRICTNESS_ALPHAS, lams):
             margin = lam - _g_kernel(Delta, alpha)
             strict_checks += 1
@@ -529,7 +538,7 @@ def emit_report(records, format: str = "csv", path=None,
     if path is None:
         raise InputError("emit_report needs a destination path")
     text = render_report(records, format, kind)
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -645,9 +654,13 @@ def parse_report(path):
     Format and kind are inferred from the content itself. Both formats are
     read into the columns that _CELLS describes; malformed CSV raises
     InputError naming its first bad line, malformed JSON naming its first
-    bad record. The inverse of emit_report for both formats."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        text = fh.read()
+    bad record, and a file that is not UTF-8 naming the file. The inverse
+    of emit_report for both formats."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
     json_text = text.lstrip().startswith("[")
     header, columns = (_json_columns if json_text else _csv_columns)(text)
     if header == SWEEP_COLUMNS:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha_matrix import AlphaMatrix
-from .bounds import check_int
 from .errors import ConvergenceError, InputError
 
 JACOBI_MAX_SWEEPS = 100
@@ -121,8 +120,7 @@ def spectral_radius_jacobi(m: AlphaMatrix) -> SpectralResult:
     return SpectralResult(float(np.max(np.diag(a))), "jacobi", off, sweeps)
 
 
-def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
-                          max_iter: int = POWER_MAX_ITER) -> SpectralResult:
+def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
     """Power iteration on the shifted matrix m + Delta*I.
 
     All eigenvalues lie in [-Delta, Delta] (row sums equal degrees), so the
@@ -133,7 +131,8 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
     The start vector is all-ones plus a deterministic index-dependent tilt, so
     its projection on the dominant eigenspace is nonzero for the matrices this
     package builds. Stops when successive Rayleigh estimates differ by at most
-    tol and the residual ||m v - est v|| is at most 10*tol.
+    POWER_TOL and the residual ||m v - est v|| is at most 10*POWER_TOL, or
+    raises ConvergenceError after POWER_MAX_ITER iterations.
 
     The entries are read from the graph's edge and degree arrays, diagonal
     and zero entries included, in the dense matrix's row-major order; set-up
@@ -142,9 +141,6 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
     n = m.n
     if n < 1:
         raise InputError("spectral radius needs at least one vertex")
-    if not tol > 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
-    max_iter = check_int("max_iter", max_iter, 1)
     e, idx = m.graph.edges.T, np.arange(n)
     rc = np.concatenate((e, e[::-1], (idx, idx)), axis=1)
     rows, cols = rc[:, np.argsort(rc[0] * n + rc[1])]  # row-major, as m.matrix
@@ -155,11 +151,11 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
     prev = math.inf
     est = 0.0
     resid = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, POWER_MAX_ITER + 1):
         av = np.bincount(rows, weights=vals * v[cols], minlength=n)
         est = float(v @ av)
         resid = float(np.linalg.norm(av - est * v))
-        if abs(est - prev) <= tol and resid <= 10.0 * tol:
+        if abs(est - prev) <= POWER_TOL and resid <= 10.0 * POWER_TOL:
             return SpectralResult(est, "power", resid, it)
         prev = est
         y = av + shift * v
@@ -169,8 +165,8 @@ def spectral_radius_power(m: AlphaMatrix, tol: float = POWER_TOL,
             return SpectralResult(0.0, "power", 0.0, it)
         v = y / ny
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        estimate=est, residual=resid, iterations=max_iter)
+        f"power iteration did not converge in {POWER_MAX_ITER} iterations",
+        estimate=est, residual=resid, iterations=POWER_MAX_ITER)
 
 
 def _default_method(n: int) -> str:
@@ -180,18 +176,14 @@ def _default_method(n: int) -> str:
 
 def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult:
     """Dispatch to a solver: dense LAPACK for n <= DISPATCH_DENSE_LIMIT (1000),
-    power iteration above.
-
-    method may force "dense", "jacobi" or "power"; power runs with its
-    defaults (tol 1e-10, max_iter 100000).
+    power iteration above. method may force "dense", "jacobi" or "power".
     """
+    # Built per call, so that a solver replaced on this module is the one run.
+    solvers = {"dense": spectral_radius_dense, "jacobi": spectral_radius_jacobi,
+               "power": spectral_radius_power}
     if method is None:
         method = _default_method(m.n)
-    if method == "dense":
-        return spectral_radius_dense(m)
-    if method == "jacobi":
-        return spectral_radius_jacobi(m)
-    if method == "power":
-        return spectral_radius_power(m)
-    raise InputError(
-        f"unknown method {method!r}, expected 'dense', 'jacobi' or 'power'")
+    if method not in tuple(solvers):  # by ==, so an unhashable one is unknown
+        raise InputError(
+            f"unknown method {method!r}, expected 'dense', 'jacobi' or 'power'")
+    return solvers[method](m)

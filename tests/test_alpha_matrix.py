@@ -120,10 +120,11 @@ def test_alpha_stack_layers_are_the_single_matrices():
     bit (a permissive alpha > 1 keeps its -0.0 entries), and equals
     build_alpha_matrix."""
     g = gen_random(9, 0.5, 2)
-    alphas = DYADIC_ALPHAS + GENERIC_ALPHAS + (0.5, 1.5)
-    stack = alpha_stack(g, alphas, permissive=True)
+    alphas = DYADIC_ALPHAS + GENERIC_ALPHAS + (0.5,)
+    stack = alpha_stack(g, alphas)
     assert stack.shape == (len(alphas), 9, 9) and stack.dtype == np.float64
-    for a, m in zip(alphas, stack):
+    layers = [*stack, build_alpha_matrix(g, 1.5, permissive=True).matrix]
+    for a, m in zip(alphas + (1.5,), layers):
         ref = (1.0 - a) * g.adjacency_matrix()
         np.fill_diagonal(ref, a * np.asarray(g.degrees, dtype=float))
         assert m.tobytes() == ref.tobytes()

@@ -16,7 +16,7 @@ from aalpha import (BoundComparison, ConsistencyError, Graph, InputError,
                     build_alpha_matrix, certify_star_equality, classify,
                     compare_numeric, gen_circulant, gen_complete, gen_cycle,
                     gen_random, gen_star, numeric_ordering,
-                    spectral_radius_power, sqrt_arg_identity, sweep_grid,
+                    random_campaign, sqrt_arg_identity, sweep_grid,
                     verify_graph)
 
 mpmath.mp.dps = 50
@@ -228,8 +228,6 @@ INT_PARAMS = {
     "gen_random-n": (lambda v: gen_random(v, 0.5, 3), 9, 0),
     "gen_random-seed": (lambda v: gen_random(9, 0.5, v), 3, 0),
     "add_isolated-k": (lambda v: add_isolated(gen_cycle(4), v), 2, 0),
-    "power-max_iter": (lambda v: spectral_radius_power(
-        build_alpha_matrix(gen_cycle(5), 0.5), max_iter=v), 1000, 1),
 }
 
 
@@ -250,6 +248,30 @@ def test_integer_parameters_share_one_check(param, bad):
 def test_integer_parameters_read_numpy_integers(param):
     call, ok, _ = INT_PARAMS[param]
     assert call(np.int64(ok)) == call(ok)
+
+
+# Every public sequence parameter, keyed "entry-name": a call with the value
+# in its place.
+SEQ_PARAMS = {
+    "verify_graph-alpha_list": lambda v: verify_graph(gen_cycle(4), v),
+    "gen_circulant-offsets": lambda v: gen_circulant(6, v),
+    "random_campaign-n_values": lambda v: random_campaign(n_values=v),
+    "random_campaign-p_values": lambda v: random_campaign(p_values=v),
+    "random_campaign-seeds": lambda v: random_campaign(seeds=v),
+    "random_campaign-isolated_counts":
+        lambda v: random_campaign(isolated_counts=v),
+    "random_campaign-alpha_list": lambda v: random_campaign(alpha_list=v),
+}
+
+
+@pytest.mark.parametrize("bad", [1, 0.5, "1"], ids=["int", "float", "text"])
+@pytest.mark.parametrize("param", SEQ_PARAMS)
+def test_sequence_parameters_refuse_a_scalar(param, bad):
+    """A lone number or text where a sequence belongs is refused with an
+    InputError that names the argument."""
+    with pytest.raises(InputError) as ei:
+        SEQ_PARAMS[param](bad)
+    assert str(ei.value).startswith(param.rsplit("-", 1)[-1] + " must be")
 
 
 @pytest.mark.parametrize("call", [

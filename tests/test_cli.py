@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import aalpha.cli as cli_mod
-from aalpha import bound_f, bound_g, parse_report, spectral_radius_power
+import aalpha.harness as harness_mod
+import aalpha.spectral as spectral_mod
+from aalpha import bound_f, bound_g, parse_report
 from aalpha.cli import main
 
 
@@ -131,6 +133,18 @@ def test_certify_stars(capsys):
     assert float(got["max equality gap"]) <= 1e-8
 
 
+def test_certify_stars_failure_exit_code(capsys, monkeypatch):
+    """Every failed check prints one FAILED line, and the command exits 1."""
+    monkeypatch.setattr(harness_mod, "EQUALITY_TOL", -1.0)
+    rc, out, _ = run(capsys, "certify-stars", "--Delta-max", "1",
+                     "--alpha-steps", "2")
+    assert rc == 1
+    assert fields(out)["failures"] == "3"
+    failed = [ln for ln in out.splitlines() if ln.startswith("FAILED ")]
+    assert [ln.split(":")[0] for ln in failed] == [
+        f"FAILED star Delta=1 alpha={a}" for a in ("0", "0.5", "1")]
+
+
 def test_spectral_outputs(capsys):
     rc, out, _ = run(capsys, "spectral", "--gen", "complete:4",
                      "--alpha", "0.3")
@@ -174,9 +188,9 @@ def test_spectral_and_verify_force_dense(tmp_path, capsys):
 def test_solver_failure_reports_evidence(capsys, monkeypatch):
     """A stalled solver exits 1 and names its estimate, residual and
     iteration count."""
-    monkeypatch.setattr(cli_mod, "spectral_radius",
-                        lambda am, method: spectral_radius_power(am, max_iter=3))
-    rc, out, err = run(capsys, "spectral", "--gen", "cycle:5", "--alpha", "0.3")
+    monkeypatch.setattr(spectral_mod, "POWER_MAX_ITER", 3)
+    rc, out, err = run(capsys, "spectral", "--gen", "cycle:5", "--alpha", "0.3",
+                       "--method", "power")
     assert rc == 1
     assert out == ""
     assert err.startswith("solver failure: power iteration did not converge")
@@ -216,6 +230,8 @@ def test_input_errors_exit_two(capsys, argv):
     ("star:1", "n must be >= 2, got 1"),
     ("random:5,0.5,-1", "seed must be >= 0, got -1"),
     ("random:5,1.5,0", "need p in [0, 1], got 1.5"),
+    ("star5", "generator spec needs a colon, got 'star5'"),
+    ("random:5,x,1", "malformed generator arguments in 'random:5,x,1'"),
 ])
 def test_generator_error_names_the_argument(capsys, spec, message):
     rc, _, err = run(capsys, "spectral", "--gen", spec, "--alpha", "0.5")
@@ -233,6 +249,34 @@ def test_non_ascii_input_exits_two(capsys, tmp_path, flag, data):
     rc, _, err = run(capsys, "spectral", flag, str(path), "--alpha", "0.5")
     assert rc == 2
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("spectral", "--graph6", "{path}", "--alpha", "0.5"), "\n \n",
+     "no graph6 line found in {path}"),
+    (("spectral", "--edgelist", "{path}", "--alpha", "0.5"),
+     "3 1\n0 99999999999999999999999\n", "malformed edge list: "),
+    (("verify", "--gen", "star:4", "--alphas", ",", "--out", "{path}.csv"),
+     "", "--alphas is empty"),
+], ids=["empty-graph6", "huge-endpoint", "empty-alphas"])
+def test_input_error_messages(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    rc, _, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert rc == 2
+    assert err.startswith("error: " + message.format(path=path))
+
+
+def test_report_of_a_non_ascii_path(capsys, tmp_path):
+    """The edge-list path becomes the graph_id, which a report holds as
+    UTF-8 text."""
+    path = tmp_path / "grafo_é.edges"
+    path.write_text("3 2\n0 1\n1 2\n")
+    out = tmp_path / "v.csv"
+    rc, _, _ = run(capsys, "verify", "--edgelist", str(path), "--alphas",
+                   "0.5", "--out", str(out))
+    assert rc == 0
+    assert [r.graph_id for r in parse_report(out)] == [f"edgelist:{path}"]
 
 
 def test_unwritable_output_exits_two(capsys, tmp_path):

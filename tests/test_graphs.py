@@ -70,6 +70,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, ((2, 1),))  # must be ordered u < v
     with pytest.raises(InputError):
         Graph(3, ((0, 1), (0, 1)))
+    with pytest.raises(InputError, match="edges must be \\(u, v\\) pairs"):
+        Graph(5, [(0, 1, 2)])
     with pytest.raises(InputError):
         Graph(-1, ())
     with pytest.raises(InputError):
@@ -186,6 +188,7 @@ def test_parse_edge_list():
     "3 2\n0 1\n",          # promises 2 edges, gives 1
     "3 1\n0 1 2\n",        # edge line with 3 tokens
     "3 1\nx y\n",
+    "3 1\n0 99999999999999999999999\n",  # beyond int64
 ])
 def test_parse_edge_list_errors(bad):
     with pytest.raises(ParseError):

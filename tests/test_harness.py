@@ -21,7 +21,8 @@ from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, EQUALITY_TOL,
                     gen_complete, gen_cycle, gen_random, gen_star,
                     numeric_ordering, parse_report, random_campaign,
                     render_report, spectral_radii_dense, spectral_radius,
-                    spectral_radius_dense, summarize_sweep, sweep_grid,
+                    spectral_radius_dense, spectral_radius_jacobi,
+                    summarize_sweep, sweep_grid,
                     verification_violations, verify_graph)
 
 
@@ -89,6 +90,8 @@ def test_sweep_table_reads_as_records():
     assert summarize_sweep(records) == summarize_sweep(table)
     with pytest.raises(InputError):
         SweepTable.from_records(verify_graph(gen_star(3), [0.5]))
+    with pytest.raises(InputError, match="of equal length"):
+        SweepTable({**table.columns, "delta": table.columns["delta"][1:]})
 
 
 def test_sweep_grid_validation():
@@ -354,8 +357,11 @@ def test_certify_star_equality_passes():
     assert cert.max_equality_gap <= EQUALITY_TOL
     assert cert.min_strictness_margin > 1e-6
     # jacobi agrees as the cross-check solver
-    cert_j = certify_star_equality(4, 10, method="jacobi")
-    assert cert_j.passed
+    for Delta in range(1, 5):
+        for k in range(11):
+            am = build_alpha_matrix(gen_star(Delta + 1), k / 10)
+            assert abs(spectral_radius_jacobi(am).lambda1
+                       - bound_g(Delta, k / 10)) <= EQUALITY_TOL
 
 
 def test_certify_star_equality_failure_listing(monkeypatch):
@@ -490,6 +496,21 @@ def test_json_report_bytes_match_json_dumps():
         verif += verify_graph(gen_cycle(4), [0.5], graph_id=gid)
     assert render_report(verif, "json") == \
         _json_reference(verif, VERIFICATION_COLUMNS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_graph_id_outside_ascii_round_trips(tmp_path, fmt):
+    records = verify_graph(gen_star(3), [0.5], graph_id='grafo_é,"x')
+    path = tmp_path / f"v.{fmt}"
+    emit_report(records, fmt, path)
+    assert parse_report(path) == records
+
+
+def test_parse_report_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff")
+    with pytest.raises(InputError, match="bad.csv is not UTF-8"):
+        parse_report(path)
 
 
 def test_csv_graph_id_line_breaks_round_trip(tmp_path):

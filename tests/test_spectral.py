@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import aalpha.spectral as spectral_mod
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, Graph, InputError,
                     SpectralResult, add_isolated, alpha_stack,
                     build_alpha_matrix, from_edge_list, gen_circulant,
@@ -124,12 +125,9 @@ def test_residual_and_iteration_reporting():
     assert rd.residual <= 1e-12 * (1 + fro)
     assert rd.iterations == 1
     assert abs(rd.lambda1 - rj.lambda1) <= 1e-12 * (1 + fro)
-    rp = spectral_radius_power(am, tol=1e-10)
+    rp = spectral_radius_power(am)
     assert rp.residual <= 1e-9
     assert rp.iterations >= 1
-    # tighter tol costs more iterations, still converges
-    rp2 = spectral_radius_power(am, tol=1e-13)
-    assert abs(rp2.lambda1 - rj.lambda1) <= 1e-9
 
 
 def test_dispatcher():
@@ -138,8 +136,9 @@ def test_dispatcher():
     assert spectral_radius(am, "dense").method == "dense"
     assert spectral_radius(am, "power").method == "power"
     assert spectral_radius(am, "jacobi").method == "jacobi"
-    with pytest.raises(InputError):
-        spectral_radius(am, "lanczos")
+    for bad in ("lanczos", "", ["dense"]):  # "" is not None: no default
+        with pytest.raises(InputError, match="unknown method"):
+            spectral_radius(am, bad)
     assert DISPATCH_DENSE_LIMIT == 1000
     at_limit = build_alpha_matrix(gen_cycle(DISPATCH_DENSE_LIMIT), 0.5)
     assert spectral_radius(at_limit).method == "dense"
@@ -164,22 +163,29 @@ def test_dispatcher_uses_power_above_limit():
     assert abs(res.lambda1 - bound_g(149, 0.5)) <= 1e-8
 
 
-def test_power_convergence_error():
+def test_power_convergence_error(monkeypatch):
     am = build_alpha_matrix(gen_cycle(5), 0.3)
+    monkeypatch.setattr(spectral_mod, "POWER_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as ei:
-        spectral_radius_power(am, tol=1e-10, max_iter=2)
+        spectral_radius_power(am)
     err = ei.value
     assert err.iterations == 2
     assert err.residual > 0
     assert 0 < err.estimate <= 2 + 1e-6
 
 
+def test_jacobi_convergence_error(monkeypatch):
+    am = build_alpha_matrix(gen_cycle(5), 0.5)
+    monkeypatch.setattr(spectral_mod, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError) as ei:
+        spectral_radius_jacobi(am)
+    err = ei.value
+    assert err.iterations == 0
+    assert err.residual > 0
+    assert err.estimate == 1.0  # the largest diagonal entry, untouched
+
+
 def test_input_validation():
-    am = build_alpha_matrix(gen_star(3), 0.5)
-    with pytest.raises(InputError):
-        spectral_radius_power(am, tol=0.0)
-    with pytest.raises(InputError):
-        spectral_radius_power(am, max_iter=0)
     empty = build_alpha_matrix(Graph(0, ()), 0.5)
     with pytest.raises(InputError):
         spectral_radius_dense(empty)
@@ -236,7 +242,7 @@ def _power_over_dense_scan(am, tol=1e-10, max_iter=100000):
     return ("fail", est, resid, max_iter)
 
 
-def test_power_matches_the_dense_scan_bit_for_bit():
+def test_power_matches_the_dense_scan_bit_for_bit(monkeypatch):
     """Power iteration reads the edge array in the dense matrix's row-major
     order, so every estimate, residual and iteration count, and the evidence
     of a failure, equals a run over the dense matrix's nonzero entries."""
@@ -249,8 +255,9 @@ def test_power_matches_the_dense_scan_bit_for_bit():
             got = spectral_radius_power(am)
             assert ref == ("ok", got.lambda1, got.residual, got.iterations)
     am = build_alpha_matrix(graphs[0], 0.25)
+    monkeypatch.setattr(spectral_mod, "POWER_MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as ei:
-        spectral_radius_power(am, max_iter=2)
+        spectral_radius_power(am)
     err = ei.value
     assert _power_over_dense_scan(am, max_iter=2) == \
         ("fail", err.estimate, err.residual, err.iterations)
