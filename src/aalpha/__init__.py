@@ -1,7 +1,7 @@
 """Spectral-radius lower bounds for the matrix family alpha*D + (1-alpha)*A
 of a simple graph: closed-form bounds f and g, an exact trichotomy classifier
-for their comparison, a LAPACK eigensolver with two independent oracle
-solvers, and verification campaigns that test every claim numerically.
+for their comparison, LAPACK and Lanczos eigensolvers with two independent
+oracle solvers, and verification campaigns that test every claim numerically.
 """
 
 from .alpha_matrix import (AlphaMatrix, alpha_stack, build_alpha_matrix,
@@ -23,10 +23,10 @@ from .harness import (BOUND_SLACK, EQUALITY_TOL, STRICTNESS_ALPHAS,
                       random_campaign, render_report, summarize_sweep,
                       sweep_grid, verification_violations, verify_graph)
 from .spectral import (DISPATCH_DENSE_LIMIT, JACOBI_MAX_SWEEPS,
-                       POWER_MAX_ITER, POWER_TOL, SpectralResult,
-                       spectral_radii_dense, spectral_radius,
+                       LANCZOS_MAX_STEPS, POWER_MAX_ITER, POWER_TOL,
+                       SpectralResult, spectral_radii_dense, spectral_radius,
                        spectral_radius_dense, spectral_radius_jacobi,
-                       spectral_radius_power)
+                       spectral_radius_lanczos, spectral_radius_power)
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,8 @@ __all__ = [
     "SWEEP_COLUMNS", "VERIFICATION_COLUMNS",
     "SpectralResult", "spectral_radii_dense", "spectral_radius",
     "spectral_radius_dense",
-    "spectral_radius_jacobi", "spectral_radius_power", "JACOBI_MAX_SWEEPS",
-    "DISPATCH_DENSE_LIMIT", "POWER_TOL", "POWER_MAX_ITER",
+    "spectral_radius_jacobi", "spectral_radius_power",
+    "spectral_radius_lanczos", "JACOBI_MAX_SWEEPS", "DISPATCH_DENSE_LIMIT",
+    "POWER_TOL", "POWER_MAX_ITER", "LANCZOS_MAX_STEPS",
     "__version__",
 ]

@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--alphas", required=True,
                    help="comma-separated alpha values in [0, 1]")
-    p.add_argument("--method", choices=("dense", "jacobi", "power"))
+    p.add_argument("--method", choices=("dense", "jacobi", "power", "lanczos"))
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_verify)
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="spectral radius of one alpha matrix")
     _add_graph_source(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", choices=("dense", "jacobi", "power"))
+    p.add_argument("--method", choices=("dense", "jacobi", "power", "lanczos"))
     p.set_defaults(fn=_cmd_spectral)
     return ap
 

@@ -223,9 +223,9 @@ def _lambda1s(g: Graph, alphas, method: str | None,
     On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
     vertices, or method "dense") the alphas are solved in stacks of at most
     DISPATCH_DENSE_LIMIT**2 entries, one LAPACK call per stack, so no stack
-    is larger than the biggest single dense matrix. A forced "jacobi" or
-    "power", and every graph above the limit, get one spectral_radius call
-    per alpha. A ConvergenceError is re-raised naming graph_id and the
+    is larger than the biggest single dense matrix. A forced "jacobi",
+    "power" or "lanczos", and every graph above the limit, get one
+    spectral_radius call per alpha. A ConvergenceError is re-raised naming graph_id and the
     alphas being solved.
     """
     dense = (_default_method(g.n) if method is None else method) == "dense"
@@ -259,8 +259,8 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     edge-count exclusion. On the dense path all the alphas go through one
     LAPACK call (one per DISPATCH_DENSE_LIMIT**2 entries of the stack);
     each lambda1 equals a solve of that matrix alone, bit for bit. method
-    None is the spectral_radius dispatcher; "jacobi" or "power" force an
-    oracle, one call per alpha.
+    None is the spectral_radius dispatcher; "jacobi", "power" or "lanczos"
+    force a solver, one call per alpha.
     """
     if g.n < 2:
         raise InputError(f"verification needs n >= 2, got n = {g.n}")

@@ -1,14 +1,16 @@
-"""Spectral radius of an alpha matrix: LAPACK on the default path, plus two
-independent oracles.
+"""Spectral radius of an alpha matrix: LAPACK and Lanczos on the default
+path, plus two independent oracles.
 
 For a symmetric entrywise-nonnegative matrix the spectral radius equals the
 largest eigenvalue, which every solver here targets directly. The dispatcher
 sends n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric eigensolver through
-numpy.linalg.eigh and larger graphs to shifted power iteration over the
-graph's edge array. The dense solver takes a (k, n, n) stack of matrices in
-one LAPACK call, so a campaign solves all the alphas of a graph together; a
-single matrix is a stack of one. Cyclic Jacobi and power iteration share
-no code with each other or with LAPACK; each is an oracle for the others.
+numpy.linalg.eigh and larger graphs to Lanczos over the graph's edge array,
+which stops on an enclosure of lambda1 rather than on a residual. The dense
+solver takes a (k, n, n) stack of matrices in one LAPACK call, so a campaign
+solves all the alphas of a graph together; a single matrix is a stack of
+one. Cyclic Jacobi and shifted power iteration share no code with each other
+or with LAPACK; each is an oracle for the others. Power iteration and
+Lanczos apply the matrix through one matrix-free operator.
 """
 
 import math
@@ -23,7 +25,10 @@ JACOBI_MAX_SWEEPS = 100
 JACOBI_TOL_FACTOR = 1e-12
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 100000
+LANCZOS_MAX_STEPS = 300
 DISPATCH_DENSE_LIMIT = 1000
+_EPS = float(np.finfo(float).eps)
+_FLOOR = 1e-10  # Lanczos's first Collatz-Wielandt floor, relative to max x
 
 
 @dataclass(frozen=True)
@@ -31,7 +36,7 @@ class SpectralResult:
     """Largest eigenvalue with the evidence that produced it."""
 
     lambda1: float
-    method: str  # "dense", "jacobi" or "power"
+    method: str  # "dense", "jacobi", "power" or "lanczos"
     residual: float
     iterations: int
 
@@ -120,6 +125,28 @@ def spectral_radius_jacobi(m: AlphaMatrix) -> SpectralResult:
     return SpectralResult(float(np.max(np.diag(a))), "jacobi", off, sweeps)
 
 
+def _operator(m: AlphaMatrix):
+    """m.matrix @ x as a function of x, read from the graph's edge and degree
+    arrays without building m.matrix: O(n + m) memory, and O(n + m) time
+    for each product after one sort of the 2m + n entries.
+
+    The nonzero entries, diagonal and zero entries included, are laid out
+    in the dense matrix's row-major order, so np.bincount sums each row in
+    the order a scan of m.matrix would: power iteration's results are those
+    of a run over the dense matrix, bit for bit.
+    """
+    n = m.n
+    if n < 1:
+        raise InputError("spectral radius needs at least one vertex")
+    (u, v), idx = m.graph.edges.T, np.arange(n)
+    rows, cols = np.concatenate((u, v, idx)), np.concatenate((v, u, idx))
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    vals = np.full(len(rows), 1.0 - m.alpha)
+    vals[rows == cols] = m.alpha * m.degrees
+    return lambda x: np.bincount(rows, weights=vals * x[cols], minlength=n)
+
+
 def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
     """Power iteration on the shifted matrix m + Delta*I.
 
@@ -132,19 +159,11 @@ def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
     its projection on the dominant eigenspace is nonzero for the matrices this
     package builds. Stops when successive Rayleigh estimates differ by at most
     POWER_TOL and the residual ||m v - est v|| is at most 10*POWER_TOL, or
-    raises ConvergenceError after POWER_MAX_ITER iterations.
-
-    The entries are read from the graph's edge and degree arrays, diagonal
-    and zero entries included, in the dense matrix's row-major order; set-up
-    and each step cost O(n + m) time and memory, and m.matrix is never built.
+    raises ConvergenceError after POWER_MAX_ITER iterations. The matrix is
+    applied by _operator, so m.matrix is never built.
     """
+    apply = _operator(m)
     n = m.n
-    if n < 1:
-        raise InputError("spectral radius needs at least one vertex")
-    e, idx = m.graph.edges.T, np.arange(n)
-    rc = np.concatenate((e, e[::-1], (idx, idx)), axis=1)
-    rows, cols = rc[:, np.argsort(rc[0] * n + rc[1])]  # row-major, as m.matrix
-    vals = np.where(rows == cols, m.alpha * m.degrees[rows], 1.0 - m.alpha)
     shift = float(m.max_degree)
     v = 1.0 + 1e-3 * (np.arange(1, n + 1) / n)
     v /= np.linalg.norm(v)
@@ -152,7 +171,7 @@ def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
     est = 0.0
     resid = math.inf
     for it in range(1, POWER_MAX_ITER + 1):
-        av = np.bincount(rows, weights=vals * v[cols], minlength=n)
+        av = apply(v)
         est = float(v @ av)
         resid = float(np.linalg.norm(av - est * v))
         if abs(est - prev) <= POWER_TOL and resid <= 10.0 * POWER_TOL:
@@ -169,21 +188,104 @@ def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
         estimate=est, residual=resid, iterations=POWER_MAX_ITER)
 
 
+def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
+    """Lanczos from the all-ones vector, stopped on an enclosure of lambda1.
+
+    The all-ones vector overlaps every nonnegative Perron vector, and on a
+    regular graph it is one, so a cycle or circulant is solved in one step.
+    Each step is reorthogonalized against the whole basis (classical
+    Gram-Schmidt, twice), and the Ritz pair comes from eigh of the
+    tridiagonal matrix. Once the Ritz pair's residual bound
+    beta * |s_last| is within POWER_TOL, each step encloses lambda1:
+
+    - lo, the Rayleigh quotient of the unit Ritz vector x, is below it;
+    - hi, the Collatz-Wielandt ratio max_i (A y)_i / y_i of any positive y,
+      is above it (zero rows, of isolated vertices, give 0). Here y is x
+      floored at a positive vector: 1e-10 * max(x) at the first check, then
+      the previous check's (A + Delta*I) y / (lo + Delta). On a component
+      that x misses, a constant floor gives ratios near the degrees; these
+      power steps bring them down to that component's own radius.
+
+    It stops when hi - lo <= POWER_TOL * max(1, lo), or when a step leaves
+    nothing after reorthogonalization (beta <= eps * ||A q||): that basis
+    spans an invariant subspace, whose top Ritz value is exact. Edgeless
+    graphs, stars with isolated vertices and unions of regular components
+    end this way.
+
+    Reports lo, the measured residual ||A x - lo x|| and the number of
+    steps. Basis rows are allocated as steps are taken, up to
+    LANCZOS_MAX_STEPS rows of n; at that cap it raises ConvergenceError
+    with estimate lo and the enclosure [lo, hi] in its message. Needs alpha
+    in [0, 1], where the matrix is nonnegative.
+    """
+    if m.alpha > 1.0:
+        raise InputError(f"lanczos needs alpha in [0, 1], got {m.alpha}: its "
+                         "enclosure holds for nonnegative matrices only")
+    apply = _operator(m)
+    n, cap, shift = m.n, LANCZOS_MAX_STEPS, float(m.max_degree)
+    basis = np.empty((1, n))
+    basis[0] = 1.0 / math.sqrt(n)
+    diag, off = [], []
+    floor = None
+    for k in range(1, cap + 1):
+        q = basis[:k]
+        w = apply(q[-1])
+        scale = float(np.linalg.norm(w))
+        c = q @ w
+        w -= c @ q
+        w -= (q @ w) @ q
+        diag.append(float(c[-1]))
+        beta = float(np.linalg.norm(w))
+        theta, s = np.linalg.eigh(
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        s = s[:, -1] if s[0, -1] >= 0.0 else -s[:, -1]  # x . 1 >= 0
+        invariant = beta <= _EPS * scale
+        if (invariant or k == cap
+                or beta * abs(s[-1]) <= POWER_TOL * max(1.0, theta[-1])):
+            x = s @ q
+            x /= np.linalg.norm(x)
+            ax = apply(x)
+            lo = float(x @ ax)
+            resid = float(np.linalg.norm(ax - lo * x))
+            if floor is None:
+                floor = np.full(n, _FLOOR * float(x.max()))
+            y = np.maximum(x, floor)
+            ay = apply(y)
+            hi = float(np.max(ay / y))
+            if invariant or hi - lo <= POWER_TOL * max(1.0, lo):
+                return SpectralResult(lo, "lanczos", resid, k)
+            floor = (ay + shift * y) / (lo + shift)
+        if k < cap:
+            if k == len(basis):
+                basis = np.concatenate((basis, np.empty((min(k, cap - k), n))))
+            basis[k] = w / beta
+            off.append(beta)
+    raise ConvergenceError(
+        f"lanczos did not enclose lambda1 to {POWER_TOL:g} in {cap} steps: "
+        f"lambda1 in [{lo!r}, {hi!r}]",
+        estimate=lo, residual=resid, iterations=cap)
+
+
 def _default_method(n: int) -> str:
     """The dispatcher's solver for an n-vertex matrix."""
-    return "dense" if n <= DISPATCH_DENSE_LIMIT else "power"
+    return "dense" if n <= DISPATCH_DENSE_LIMIT else "lanczos"
 
 
 def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult:
     """Dispatch to a solver: dense LAPACK for n <= DISPATCH_DENSE_LIMIT (1000),
-    power iteration above. method may force "dense", "jacobi" or "power".
+    Lanczos above, or power iteration above it for a permissive alpha > 1,
+    whose matrix has negative entries. method may force "dense", "jacobi",
+    "power" or "lanczos".
     """
     # Built per call, so that a solver replaced on this module is the one run.
     solvers = {"dense": spectral_radius_dense, "jacobi": spectral_radius_jacobi,
-               "power": spectral_radius_power}
+               "power": spectral_radius_power,
+               "lanczos": spectral_radius_lanczos}
     if method is None:
         method = _default_method(m.n)
+        if method == "lanczos" and m.alpha > 1.0:
+            method = "power"
     if method not in tuple(solvers):  # by ==, so an unhashable one is unknown
-        raise InputError(
-            f"unknown method {method!r}, expected 'dense', 'jacobi' or 'power'")
+        raise InputError(f"unknown method {method!r}, expected 'dense', "
+                         "'jacobi', 'power' or 'lanczos'")
     return solvers[method](m)

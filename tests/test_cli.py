@@ -3,13 +3,16 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
 import aalpha.cli as cli_mod
 import aalpha.harness as harness_mod
 import aalpha.spectral as spectral_mod
-from aalpha import bound_f, bound_g, parse_report
+from aalpha import (bound_f, bound_g, build_alpha_matrix, gen_cycle,
+                    parse_report, spectral_radius)
 from aalpha.cli import main
 
 
@@ -171,6 +174,39 @@ def test_spectral_cycle_small_gap(capsys, n):
     assert got["method"] == "dense"
 
 
+def test_verify_cycle_5000_is_fast(tmp_path, capsys):
+    """Above the dense limit a cycle, whose gap of about 1/n^2 stalled power
+    iteration for 100000 iterations, is solved in one Lanczos step."""
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "verify", "--gen", "cycle:5000", "--alphas",
+                     "0.5", "--out", str(tmp_path / "v.csv"))
+    assert time.perf_counter() - start < 0.5
+    assert rc == 0
+    assert fields(out)["violations"] == "0"
+
+
+def test_spectral_cycle_100000(capsys):
+    rc, out, _ = run(capsys, "spectral", "--gen", "cycle:100000",
+                     "--alpha", "0.5")
+    assert rc == 0
+    got = fields(out)
+    assert abs(float(got["lambda1"]) - 2.0) <= 1e-10
+    assert got["method"] == "lanczos"
+    assert got["iterations"] == "1"
+    # The solve holds O(n + m) arrays, 15.2 MB at its peak: the operator's
+    # three arrays of 2m + n entries and its product take 12 MB. No n x n
+    # matrix (80 GB) and no LANCZOS_MAX_STEPS x n basis (240 MB) is made.
+    # The graph is built first: gen_cycle's own peak is not the solver's.
+    g = gen_cycle(100000)
+    tracemalloc.start()
+    try:
+        spectral_radius(build_alpha_matrix(g, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_spectral_and_verify_force_dense(tmp_path, capsys):
     rc, out, _ = run(capsys, "spectral", "--gen", "star:5", "--alpha", "0.5",
                      "--method", "dense")
@@ -196,6 +232,17 @@ def test_solver_failure_reports_evidence(capsys, monkeypatch):
     assert err.startswith("solver failure: power iteration did not converge")
     assert "estimate " in err and "residual " in err
     assert "iterations 3)" in err
+
+
+def test_lanczos_failure_reports_enclosure(capsys, monkeypatch):
+    monkeypatch.setattr(spectral_mod, "LANCZOS_MAX_STEPS", 2)
+    rc, out, err = run(capsys, "spectral", "--gen", "random:60,0.1,5",
+                       "--add-isolated", "7", "--alpha", "0.25",
+                       "--method", "lanczos")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("solver failure: lanczos did not enclose lambda1")
+    assert "lambda1 in [" in err and "iterations 2)" in err
 
 
 def test_spectral_random_gen(capsys):

@@ -13,7 +13,7 @@ from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, Graph, InputError,
                     gen_complete, gen_cycle, gen_random, gen_star,
                     spectral_radii_dense, spectral_radius,
                     spectral_radius_dense, spectral_radius_jacobi,
-                    spectral_radius_power)
+                    spectral_radius_lanczos, spectral_radius_power)
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -136,7 +136,8 @@ def test_dispatcher():
     assert spectral_radius(am, "dense").method == "dense"
     assert spectral_radius(am, "power").method == "power"
     assert spectral_radius(am, "jacobi").method == "jacobi"
-    for bad in ("lanczos", "", ["dense"]):  # "" is not None: no default
+    assert spectral_radius(am, "lanczos").method == "lanczos"
+    for bad in ("arnoldi", "", ["dense"]):  # "" is not None: no default
         with pytest.raises(InputError, match="unknown method"):
             spectral_radius(am, bad)
     assert DISPATCH_DENSE_LIMIT == 1000
@@ -144,7 +145,7 @@ def test_dispatcher():
     assert spectral_radius(at_limit).method == "dense"
 
 
-def test_dispatcher_uses_power_above_limit():
+def test_dispatcher_uses_lanczos_above_limit():
     """Above the limit, building and solving stay O(n + m) in memory: no
     n x n matrix (8 MB here) is assembled."""
     g = add_isolated(gen_star(150), DISPATCH_DENSE_LIMIT - 150 + 1)
@@ -158,7 +159,7 @@ def test_dispatcher_uses_power_above_limit():
     assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
     assert "matrix" not in vars(am)  # .matrix was never read
     assert am.n == DISPATCH_DENSE_LIMIT + 1
-    assert res.method == "power"
+    assert res.method == "lanczos"
     from aalpha import bound_g
     assert abs(res.lambda1 - bound_g(149, 0.5)) <= 1e-8
 
@@ -172,6 +173,20 @@ def test_power_convergence_error(monkeypatch):
     assert err.iterations == 2
     assert err.residual > 0
     assert 0 < err.estimate <= 2 + 1e-6
+
+
+def test_lanczos_convergence_error(monkeypatch):
+    """At its step cap Lanczos raises with the enclosure it reached; its
+    estimate, a Rayleigh quotient, never exceeds lambda1."""
+    am = build_alpha_matrix(add_isolated(gen_random(60, 0.1, 5), 7), 0.25)
+    lam = spectral_radius_dense(am).lambda1
+    monkeypatch.setattr(spectral_mod, "LANCZOS_MAX_STEPS", 2)
+    with pytest.raises(ConvergenceError, match=r"lambda1 in \[") as ei:
+        spectral_radius_lanczos(am)
+    err = ei.value
+    assert err.iterations == 2
+    assert err.residual > 0
+    assert err.estimate <= lam + 1e-12
 
 
 def test_jacobi_convergence_error(monkeypatch):
@@ -193,6 +208,8 @@ def test_input_validation():
         spectral_radius_jacobi(empty)
     with pytest.raises(InputError):
         spectral_radius_power(empty)
+    with pytest.raises(InputError):
+        spectral_radius_lanczos(empty)
 
 
 def test_small_gap_path_matches_eigvalsh():
@@ -205,6 +222,42 @@ def test_small_gap_path_matches_eigvalsh():
     assert res.method == "dense"
     assert abs(res.lambda1 - float(np.linalg.eigvalsh(am.matrix)[-1])) <= 1e-10
     assert res.residual <= 1e-10
+
+
+def _path(n):
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("g", [
+    add_isolated(gen_random(60, 0.1, 5), 7),
+    add_isolated(gen_star(150), 852),
+    from_edge_list(105, [(i, j) for i in range(5) for j in range(i + 1, 5)]
+                   + [(5 + i, 5 + (i + 1) % 100) for i in range(100)]),
+    gen_complete(2), Graph(5, ()), Graph(1, ()), _path(400),
+], ids=["G60+iso7", "star150+iso852", "K5+C100", "K2", "edgeless5",
+        "one-vertex", "P400"])
+def test_lanczos_matches_lapack(g):
+    """Lanczos, forced below the dispatch limit, agrees with LAPACK on graphs
+    with isolated vertices, two components, no edges and a small gap."""
+    for alpha in (0.0, 0.25, 1 / 3, 0.5, 1.0):
+        am = build_alpha_matrix(g, alpha)
+        res = spectral_radius(am, "lanczos")
+        assert res.method == "lanczos"
+        assert abs(res.lambda1 - spectral_radius_dense(am).lambda1) <= 1e-10
+        if g.edge_count == 0:
+            assert res.lambda1 == 0.0
+
+
+def test_lanczos_needs_a_nonnegative_matrix():
+    """A permissive alpha > 1 gives negative entries, where the enclosure
+    fails: forced Lanczos refuses it, the dispatcher uses power iteration."""
+    g = add_isolated(gen_star(5), DISPATCH_DENSE_LIMIT)
+    am = build_alpha_matrix(g, 1.5, permissive=True)
+    with pytest.raises(InputError, match="alpha in \\[0, 1\\]"):
+        spectral_radius_lanczos(am)
+    res = spectral_radius(am)
+    assert res.method == "power"
+    assert res.lambda1 == spectral_radius_power(am).lambda1
 
 
 def test_power_nonzero_matvec_matches_dense_product():
