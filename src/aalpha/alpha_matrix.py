@@ -38,29 +38,46 @@ class AlphaMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:  # (n, n) float64, read-only
-        m = _assemble(self.graph, (self.alpha,))[0]
+        m = _assemble([self.graph], (self.alpha,))[0]
         m.flags.writeable = False
         return m
 
 
-def _assemble(g: Graph, alphas) -> np.ndarray:
-    """alpha_stack for alphas that are already checked floats."""
-    a = np.array(alphas, dtype=float)
-    u, v = g.edges.T
+def _assemble(graphs, alphas, start: int = 0,
+              stop: int | None = None) -> np.ndarray:
+    """Layers start..stop of the stack that holds each graph's matrix at
+    each alpha in turn: layer i is graphs[i // k] at alphas[i % k], for
+    k = len(alphas). The graphs share n, and the alphas are checked floats.
+
+    A slice may begin and end inside a graph's alphas. Each layer gets the
+    two IEEE operations of a matrix built alone, and equals that matrix bit
+    for bit.
+    """
+    k, n = len(alphas), graphs[0].n
+    stop = len(graphs) * k if stop is None else stop
     # One allocation, scaled in place: a product into a second array would
     # fault in fresh pages for every large matrix.
-    m = np.zeros((len(a), g.n, g.n))
-    m[:, u, v] = m[:, v, u] = 1.0
+    m = np.zeros((stop - start, n, n))
+    if stop == start:
+        return m
+    first, last = start // k, (stop - 1) // k + 1  # the graphs in the slice
+    for i in range(first, last):  # each fills its run of layers
+        u, v = graphs[i].edges.T
+        layers = slice(max(i * k - start, 0), (i + 1) * k - start)
+        m[layers, u, v] = m[layers, v, u] = 1.0
+    which, at = np.divmod(np.arange(start, stop), k)
+    a = np.array(alphas, dtype=float)[at]
     m *= (1.0 - a)[:, None, None]
-    idx = np.arange(g.n)
-    m[:, idx, idx] = a[:, None] * g.degrees
+    degrees = np.array([g.degrees for g in graphs[first:last]])
+    idx = np.arange(n)
+    m[:, idx, idx] = a[:, None] * degrees[which - first]
     return m
 
 
 def alpha_stack(g: Graph, alphas) -> np.ndarray:
     """alpha*D + (1 - alpha)*A of g for each alpha in turn, as one
     (k, n, n) float64 array. Every alpha must lie in [0, 1]."""
-    return _assemble(g, [check_alpha(x) for x in alphas])
+    return _assemble([g], [check_alpha(x) for x in alphas])
 
 
 def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> AlphaMatrix:

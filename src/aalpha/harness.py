@@ -216,37 +216,74 @@ def default_graph_id(g: Graph) -> str:
     return f"n{g.n}-m{g.edge_count}"
 
 
-def _lambda1s(g: Graph, alphas, method: str | None,
-              graph_id: str) -> list[float]:
-    """lambda1 of g's alpha matrix at each alpha (checked floats), in order.
+def _lambda1s(graphs, alphas, method: str | None, graph_ids) -> np.ndarray:
+    """lambda1 of each graph's alpha matrix at each alpha (checked floats),
+    as a (len(graphs), len(alphas)) array. The graphs share n.
 
     On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
-    vertices, or method "dense") the alphas are solved in stacks of at most
-    DISPATCH_DENSE_LIMIT**2 entries, one LAPACK call per stack, so no stack
-    is larger than the biggest single dense matrix. A forced "jacobi",
-    "power" or "lanczos", and every graph above the limit, get one
-    spectral_radius call per alpha. A ConvergenceError is re-raised naming graph_id and the
-    alphas being solved.
+    vertices, or method "dense") the matrices of all the graphs, graph by
+    graph and alpha by alpha, form one stack, solved with one LAPACK call
+    per DISPATCH_DENSE_LIMIT**2 entries: so a campaign makes one LAPACK call
+    per vertex count, 13 for the default campaign, and no call holds more
+    than the biggest single dense matrix. A split may fall inside a graph's
+    alphas. A forced "jacobi", "power" or "lanczos", and every graph above
+    the limit, get one spectral_radius call per alpha. A ConvergenceError is
+    re-raised naming each graph_id in the failed call with its alphas there.
     """
-    dense = (_default_method(g.n) if method is None else method) == "dense"
-    step = max(1, DISPATCH_DENSE_LIMIT ** 2 // g.n ** 2) if dense else 1
-    lams = []
-    for i in range(0, len(alphas), step):
-        batch = alphas[i:i + step]
+    n, k = graphs[0].n, len(alphas)
+    dense = (_default_method(n) if method is None else method) == "dense"
+    step = max(1, DISPATCH_DENSE_LIMIT ** 2 // n ** 2) if dense else 1
+    total = len(graphs) * k
+    lams = np.empty(total)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
         try:
             if dense:
-                results = spectral_radii_dense(_assemble(g, batch))
+                results = spectral_radii_dense(_assemble(graphs, alphas, lo, hi))
             else:
-                results = [spectral_radius(build_alpha_matrix(g, batch[0]),
-                                           method)]
+                results = [spectral_radius(build_alpha_matrix(
+                    graphs[lo // k], alphas[lo % k]), method)]
         except ConvergenceError as exc:
-            at = ", ".join(map(str, batch))
+            at = "; ".join(
+                f"{graph_ids[i]} at alpha="
+                + ", ".join(map(str, alphas[max(lo - i * k, 0):hi - i * k]))
+                for i in range(lo // k, (hi - 1) // k + 1))
             raise ConvergenceError(
-                f"eigensolver failed on {graph_id} at alpha={at}: {exc}",
-                estimate=exc.estimate, residual=exc.residual,
-                iterations=exc.iterations) from exc
-        lams += [r.lambda1 for r in results]
-    return lams
+                f"eigensolver failed on {at}: {exc}", estimate=exc.estimate,
+                residual=exc.residual, iterations=exc.iterations) from exc
+        lams[lo:hi] = [r.lambda1 for r in results]
+    return lams.reshape(len(graphs), k)
+
+
+def _verify(graphs, graph_ids, alphas,
+            method: str | None = None) -> list[VerificationRecord]:
+    """The records of graphs of one vertex count n >= 2, graph by graph and
+    alpha by alpha (checked floats). lambda1 comes from _lambda1s; f, g and
+    the three checks are computed over the (graph, alpha) array at once,
+    each equal bit for bit to its value at one point."""
+    lam = _lambda1s(graphs, alphas, method, graph_ids)
+    k = len(alphas)
+    a = np.array(alphas, dtype=np.float64)
+    degrees = np.array([g.degrees for g in graphs])
+    delta, Delta = degrees.min(1), degrees.max(1)
+    # A row per graph and a column per alpha. The kernels square degree
+    # gaps; in float64 that cannot wrap.
+    fDelta = Delta[:, None].astype(np.float64)
+    f = _f_kernel(delta[:, None].astype(np.float64), fDelta, a, np)
+    gg = _g_kernel(fDelta, a, np)
+
+    def each(values):  # one value per graph, repeated for its alphas
+        return np.repeat(values, k)
+
+    columns = dict(zip(VERIFICATION_COLUMNS, (
+        each(np.array(graph_ids, dtype=object)), each([g.n for g in graphs]),
+        each([g.edge_count for g in graphs]), each(Delta), each(delta),
+        np.tile(a, len(graphs)), lam.ravel(), f.ravel(), gg.ravel(),
+        (lam >= f - BOUND_SLACK).ravel(), (lam >= gg - BOUND_SLACK).ravel(),
+        (np.abs(lam - gg) <= EQUALITY_TOL).ravel(),
+        each(list(map(is_star, graphs))),
+        each(list(map(is_connected, graphs))))))
+    return list(_records(columns, VERIFICATION_COLUMNS, VerificationRecord))
 
 
 def verify_graph(g: Graph, alpha_list, method: str | None = None,
@@ -256,9 +293,11 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     Needs n >= 2 and every alpha in [0, 1]. Records are produced in the
     given alpha order; g_holds is recorded honestly even for edgeless
     graphs, where g > 0 = lambda1 — verification_violations applies the
-    edge-count exclusion. On the dense path all the alphas go through one
-    LAPACK call (one per DISPATCH_DENSE_LIMIT**2 entries of the stack);
-    each lambda1 equals a solve of that matrix alone, bit for bit. method
+    edge-count exclusion. This is random_campaign's check, run on one
+    graph: on the dense path all the alphas go through one LAPACK call (one
+    per DISPATCH_DENSE_LIMIT**2 entries of the stack), where the campaign
+    makes one LAPACK call per vertex count, 13 for the default campaign.
+    Each lambda1 equals a solve of that matrix alone, bit for bit. method
     None is the spectral_radius dispatcher; "jacobi", "power" or "lanczos"
     force a solver, one call per alpha.
     """
@@ -267,19 +306,7 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
     if graph_id is None:
         graph_id = default_graph_id(g)
-    prof = degree_profile(g)
-    star = is_star(g)
-    connected = is_connected(g)
-    records = []
-    for alpha, lam in zip(alphas, _lambda1s(g, alphas, method, graph_id)):
-        f = _f_kernel(prof.min_degree, prof.max_degree, alpha)
-        gg = _g_kernel(prof.max_degree, alpha)
-        records.append(VerificationRecord(
-            graph_id, g.n, g.edge_count, prof.max_degree, prof.min_degree,
-            alpha, lam, f, gg,
-            lam >= f - BOUND_SLACK, lam >= gg - BOUND_SLACK,
-            abs(lam - gg) <= EQUALITY_TOL, star, connected))
-    return records
+    return _verify([g], [graph_id], alphas, method)
 
 
 def verification_violations(records) -> list[VerificationRecord]:
@@ -301,13 +328,19 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
     (297 graphs). Records come back sorted by (graph_id, alpha). Every
     argument is a sequence, and every graph is solved by the spectral_radius
     dispatcher; verify_graph's method forces an oracle on one graph.
+
+    Each alpha is checked once, and the graphs are checked by vertex count
+    with verify_graph's code: one LAPACK call per vertex count, 13 for the
+    default campaign (n = 2..14), split only where a stack would pass
+    DISPATCH_DENSE_LIMIT**2 entries, which may be inside a graph's alphas.
+    Every record equals verify_graph's for its graph, bit for bit.
     """
     n_values = check_seq("n_values", n_values)
     p_values = check_seq("p_values", p_values)
     seeds = check_seq("seeds", seeds)
     isolated_counts = check_seq("isolated_counts", isolated_counts)
-    alpha_list = check_seq("alpha_list", alpha_list)
-    records = []
+    alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
+    groups = {}  # n -> ([graph], [graph_id]), each in drawing order
     for n in n_values:
         for p in p_values:
             for seed in seeds:
@@ -315,8 +348,15 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
                 base_id = f"random:{n},{p},{seed}"
                 for k in isolated_counts:
                     g = add_isolated(base, k) if k else base
-                    gid = base_id + (f"+iso{k}" if k else "")
-                    records.extend(verify_graph(g, alpha_list, graph_id=gid))
+                    if g.n < 2:
+                        raise InputError(
+                            f"verification needs n >= 2, got n = {g.n}")
+                    graphs, ids = groups.setdefault(g.n, ([], []))
+                    graphs.append(g)
+                    ids.append(base_id + (f"+iso{k}" if k else ""))
+    records = []
+    for n in list(groups):  # a group's graphs are let go once checked
+        records += _verify(*groups.pop(n), alphas)
     records.sort(key=lambda r: (r.graph_id, r.alpha))
     return records
 
@@ -351,9 +391,9 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
     eq_checks = 0
     max_gap = 0.0
     for Delta in range(1, Delta_max + 1):
-        lams = _lambda1s(gen_star(Delta + 1), alphas, None,
-                         f"star Delta={Delta}")
-        for alpha, lam in zip(alphas, lams):
+        lams = _lambda1s([gen_star(Delta + 1)], alphas, None,
+                         [f"star Delta={Delta}"])
+        for alpha, lam in zip(alphas, lams[0].tolist()):
             gap = abs(lam - _g_kernel(Delta, alpha))
             eq_checks += 1
             max_gap = max(max_gap, gap)
@@ -364,8 +404,8 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
     min_margin = float("inf")
     for name, g in _non_star_fixtures():
         Delta = degree_profile(g).max_degree
-        lams = _lambda1s(g, STRICTNESS_ALPHAS, None, name)
-        for alpha, lam in zip(STRICTNESS_ALPHAS, lams):
+        lams = _lambda1s([g], STRICTNESS_ALPHAS, None, [name])
+        for alpha, lam in zip(STRICTNESS_ALPHAS, lams[0].tolist()):
             margin = lam - _g_kernel(Delta, alpha)
             strict_checks += 1
             min_margin = min(min_margin, margin)

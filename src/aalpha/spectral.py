@@ -7,10 +7,10 @@ sends n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric eigensolver through
 numpy.linalg.eigh and larger graphs to Lanczos over the graph's edge array,
 which stops on an enclosure of lambda1 rather than on a residual. The dense
 solver takes a (k, n, n) stack of matrices in one LAPACK call, so a campaign
-solves all the alphas of a graph together; a single matrix is a stack of
-one. Cyclic Jacobi and shifted power iteration share no code with each other
-or with LAPACK; each is an oracle for the others. Power iteration and
-Lanczos apply the matrix through one matrix-free operator.
+solves all the graphs of one vertex count together; a single matrix is a
+stack of one. Cyclic Jacobi and shifted power iteration share no code with
+each other or with LAPACK; each is an oracle for the others. Power iteration
+and Lanczos apply the matrix through one matrix-free operator.
 """
 
 import math

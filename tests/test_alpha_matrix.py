@@ -5,6 +5,7 @@ import pytest
 
 from aalpha import (Graph, InputError, alpha_stack, build_alpha_matrix,
                     gen_complete, gen_random, gen_star, matrix_csv, matvec)
+from aalpha.alpha_matrix import _assemble
 
 DYADIC_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 GENERIC_ALPHAS = (0.1, 0.37, 1 / 3, 0.99)
@@ -135,3 +136,23 @@ def test_alpha_stack_layers_are_the_single_matrices():
         np.diag([0.0, 0.0, 0.0]).tobytes()
     with pytest.raises(InputError):
         alpha_stack(g, [0.5, 1.5])
+
+
+def test_stack_of_many_graphs_slices_anywhere():
+    """The stack of several graphs of one n, each at every alpha in turn:
+    each layer equals its graph's matrix at its alpha, bit for bit, and a
+    slice may begin and end inside a graph's alphas."""
+    graphs = [gen_random(7, p, s) for p in (0.3, 0.8) for s in range(2)]
+    graphs.insert(2, Graph(7, ()))
+    alphas = DYADIC_ALPHAS + GENERIC_ALPHAS
+    k = len(alphas)
+    full = _assemble(graphs, alphas)
+    assert full.shape == (len(graphs) * k, 7, 7)
+    for i, m in enumerate(full):
+        assert m.tobytes() == build_alpha_matrix(
+            graphs[i // k], alphas[i % k]).matrix.tobytes(), i
+    for start, stop in ((0, 3), (4, 13), (k - 1, 3 * k + 2),
+                        (k + 2, 3 * k + 1), (len(full) - 1, len(full))):
+        assert _assemble(graphs, alphas, start, stop).tobytes() == \
+            full[start:stop].tobytes()
+    assert _assemble(graphs, ()).shape == (0, 7, 7)

@@ -254,8 +254,8 @@ def test_batched_lambda1_edge_cases():
     assert lams == [_single_lambda1(empty, a) for a in alphas] == [0.0] * 3
 
 
-def test_certify_star_equality_one_lapack_call_per_graph(monkeypatch):
-    """20 stars and 5 non-star fixtures: 25 eigh calls, not 2040."""
+def _counted_eigh(monkeypatch):
+    """Record the shape of every np.linalg.eigh call from here on."""
     calls = []
     eigh = np.linalg.eigh
 
@@ -264,6 +264,12 @@ def test_certify_star_equality_one_lapack_call_per_graph(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_certify_star_equality_one_lapack_call_per_graph(monkeypatch):
+    """20 stars and 5 non-star fixtures: 25 eigh calls, not 2040."""
+    calls = _counted_eigh(monkeypatch)
     cert = certify_star_equality(20, 100)
     assert cert.equality_checks + cert.strictness_checks == 2040
     assert len(calls) == 25
@@ -276,20 +282,118 @@ def test_certify_star_equality_one_lapack_call_per_graph(monkeypatch):
 
 
 def test_each_alpha_is_checked_once(monkeypatch):
-    """verify_graph checks each alpha and assembly does not check it again;
-    certify_star_equality builds its own alphas and checks none."""
+    """random_campaign checks each alpha once for all its graphs, and
+    assembly does not check it again; certify_star_equality builds its own
+    alphas and checks none."""
     calls = []
     for mod in (alpha_matrix_mod, harness_mod):
         def counted(alpha, *args, _check=mod.check_alpha, **kwargs):
             calls.append(alpha)
             return _check(alpha, *args, **kwargs)
         monkeypatch.setattr(mod, "check_alpha", counted)
-    assert len(random_campaign()) == len(calls) == 1485
+    assert len(random_campaign()) == 1485
+    assert calls == [0.0, 0.25, 0.5, 0.75, 1.0]
     calls.clear()
     certify_star_equality(20, 100)
     assert calls == []
     build_alpha_matrix(gen_star(4), 0.3)
     assert calls == [0.3]
+
+
+def test_random_campaign_one_lapack_call_per_vertex_count(monkeypatch):
+    """The default campaign solves its 297 graphs x 5 alphas in 13 eigh
+    calls, one per n in 2..14. With the split limit made small, stacks
+    split inside graphs' alphas, none passes limit**2 entries, and every
+    record is unchanged bit for bit."""
+    calls = _counted_eigh(monkeypatch)
+    records = random_campaign()
+    assert sorted(n for _, n, _ in calls) == list(range(2, 15))
+    assert sum(k for k, _, _ in calls) == 1485
+    calls.clear()
+    limit = 20
+    monkeypatch.setattr(harness_mod, "DISPATCH_DENSE_LIMIT", limit)
+    patched = random_campaign()
+    assert len(patched) == len(records)
+    for got, want in zip(patched, records):
+        assert repr(got) == repr(want)
+    assert all(k * n * n <= limit ** 2 for k, n, _ in calls)
+    assert sum(k for k, _, _ in calls) == 1485
+    starts = {}  # n -> the first layer of each of its stacks
+    for k, n, _ in calls:
+        layers = starts.setdefault(n, [0])
+        layers.append(layers[-1] + k)
+    assert any(layer % 5 for layers in starts.values() for layer in layers)
+
+
+def test_random_campaign_bounds_are_the_scalar_bounds():
+    """f, g and the three checks, computed over a group's arrays, equal
+    their values at one point, bit for bit."""
+    for r in random_campaign():
+        assert r.f_value == bound_f(r.delta, r.Delta, r.alpha), r
+        assert r.g_value == bound_g(r.Delta, r.alpha), r
+        assert (r.f_holds, r.g_holds, r.g_equality) == (
+            r.lambda1 >= r.f_value - harness_mod.BOUND_SLACK,
+            r.lambda1 >= r.g_value - harness_mod.BOUND_SLACK,
+            abs(r.lambda1 - r.g_value) <= EQUALITY_TOL), r
+
+
+def _failing_stack(monkeypatch, n, call=0):
+    """Make the dense solver raise on the call-th stack of n x n matrices."""
+    seen = []
+
+    def boom(stack):
+        if stack.shape[1] == n:
+            seen.append(stack.shape)
+            if len(seen) > call:
+                raise ConvergenceError("synthetic stall", estimate=1.25,
+                                       residual=0.5, iterations=7)
+        return spectral_radii_dense(stack)
+
+    monkeypatch.setattr(harness_mod, "spectral_radii_dense", boom)
+
+
+def test_random_campaign_names_every_graph_in_a_failing_stack(monkeypatch):
+    """A solver failure in a multi-graph stack names each graph in it with
+    its alphas there, and keeps the solver's evidence."""
+    _failing_stack(monkeypatch, 5)
+    with pytest.raises(ConvergenceError) as ei:
+        random_campaign()
+    err = ei.value
+    msg = str(err)
+    full = "at alpha=0.0, 0.25, 0.5, 0.75, 1.0"
+    # The 27 graphs of n = 5: 9 draws each of n = 5, 4 + 1 and 3 + 2.
+    ids = [f"random:{n},{p},{seed}" + (f"+iso{k}" if k else "")
+           for n, k in ((3, 2), (4, 1), (5, 0)) for p in (0.2, 0.5, 0.8)
+           for seed in range(3)]
+    assert msg.count(" at alpha=") == len(ids) == 27
+    for gid in ids:
+        assert f"{gid} {full}" in msg, gid
+    assert msg.endswith(": synthetic stall")
+    assert err.estimate == 1.25 and err.residual == 0.5 and err.iterations == 7
+    # Stacks of 20**2 // 3**2 = 44 matrices of n = 3 (9 draws of n = 2 + 1,
+    # then 9 of n = 3): the second holds layers 44..87, from the last alpha
+    # of the 9th graph to the third alpha of the 18th.
+    monkeypatch.setattr(harness_mod, "DISPATCH_DENSE_LIMIT", 20)
+    _failing_stack(monkeypatch, 3, call=1)
+    with pytest.raises(ConvergenceError) as ei:
+        random_campaign()
+    msg = str(ei.value)
+    assert msg == "eigensolver failed on random:2,0.8,2+iso1 at alpha=1.0; " + \
+        "; ".join(f"random:3,{p},{seed} {full}" for p in (0.2, 0.5, 0.8)
+                  for seed in range(3) if (p, seed) != (0.8, 2)) + \
+        "; random:3,0.8,2 at alpha=0.0, 0.25, 0.5: synthetic stall"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_values": [1]}, "verification needs n >= 2, got n = 1"),
+    ({"alpha_list": [0.5, 1.5]}, "need alpha in [0, 1], got 1.5"),
+    ({"isolated_counts": [-1]}, "k must be >= 0, got -1"),
+    ({"n_values": 5}, "n_values must be a sequence, got 5"),
+], ids=["n1", "alpha", "isolated", "n-scalar"])
+def test_random_campaign_input_errors(kwargs, message):
+    with pytest.raises(InputError) as ei:
+        random_campaign(**kwargs)
+    assert str(ei.value) == message
 
 
 def test_dense_stack_memory_is_bounded():
@@ -347,6 +451,7 @@ def test_random_campaign_small():
     assert verification_violations(records) == []
     iso = [r for r in records if r.graph_id.endswith("+iso1")]
     assert iso and all(r.delta == 0 for r in iso)
+    assert random_campaign(alpha_list=[]) == []
 
 
 def test_certify_star_equality_passes():
