@@ -1,10 +1,10 @@
 """The convex combination alpha*D + (1 - alpha)*A of a graph's degree and
 adjacency matrices.
 
-alpha = 0 gives the adjacency matrix, alpha = 1 the diagonal degree matrix,
-and alpha = 1/2 gives half the signless Laplacian. For alpha in [0, 1] the
-matrix is symmetric and entrywise nonnegative, and its row sums equal the
-vertex degrees for every alpha; .matrix is assembled on first read.
+alpha lies in [0, 1]: alpha = 0 gives the adjacency matrix, alpha = 1 the
+diagonal degree matrix, and alpha = 1/2 gives half the signless Laplacian.
+The matrix is symmetric and entrywise nonnegative, and its row sums equal
+the vertex degrees; .matrix is assembled on first read.
 """
 
 from dataclasses import dataclass
@@ -19,10 +19,15 @@ from .graphs import Graph
 
 @dataclass(frozen=True, eq=False)
 class AlphaMatrix:
-    """alpha*D + (1 - alpha)*A for one graph and one checked alpha."""
+    """alpha*D + (1 - alpha)*A for one graph and one alpha, which it checks
+    itself: no AlphaMatrix holds an alpha outside [0, 1], so none has a
+    negative entry."""
 
     graph: Graph
     alpha: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
 
     @property
     def n(self) -> int:
@@ -80,9 +85,9 @@ def alpha_stack(g: Graph, alphas) -> np.ndarray:
     return _assemble([g], [check_alpha(x) for x in alphas])
 
 
-def build_alpha_matrix(g: Graph, alpha: float, permissive: bool = False) -> AlphaMatrix:
-    """alpha*D + (1 - alpha)*A of g, alpha checked; .matrix built on read."""
-    return AlphaMatrix(g, check_alpha(alpha, permissive))
+def build_alpha_matrix(g: Graph, alpha: float) -> AlphaMatrix:
+    """AlphaMatrix(g, alpha): alpha checked, .matrix built on read."""
+    return AlphaMatrix(g, alpha)
 
 
 def matvec(am: AlphaMatrix, x) -> np.ndarray:

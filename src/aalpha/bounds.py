@@ -98,10 +98,11 @@ def check_degrees(delta, Delta) -> tuple[int, int]:
     return delta, check_int("Delta", Delta, delta)
 
 
-def check_alpha(alpha, permissive: bool = False, *, name: str = "alpha") -> float:
+def check_alpha(alpha, *, name: str = "alpha") -> float:
     """The one domain check for alpha, and for any real on alpha's domain
-    (name labels the errors): a finite real in [0, 1], or any value >= 0
-    when permissive; a bool or text is refused, not read as a number."""
+    (name labels the errors): a finite real in [0, 1], where A_alpha is
+    defined and the trichotomy proved; a bool or text is refused, not read
+    as a number."""
     try:
         if isinstance(alpha, (*_BOOLS, str, bytes)):
             raise TypeError("a bool or text is not a real")
@@ -110,9 +111,8 @@ def check_alpha(alpha, permissive: bool = False, *, name: str = "alpha") -> floa
         raise InputError(f"{name} must be a real number, got {alpha!r}") from None
     if not math.isfinite(a):
         raise InputError(f"{name} must be finite, got {a}")
-    if not 0.0 <= a <= (math.inf if permissive else 1.0):
-        cap = f"{name} >= 0" if permissive else f"{name} in [0, 1]"
-        raise InputError(f"need {cap}, got {a}")
+    if not 0.0 <= a <= 1.0:
+        raise InputError(f"need {name} in [0, 1], got {a}")
     return a
 
 
@@ -147,23 +147,22 @@ def _g_kernel(Delta, alpha, xp=math):
     return _f_kernel(1, Delta, alpha, xp)
 
 
-def bound_g(Delta: int, alpha: float, permissive: bool = False) -> float:
-    """The one-parameter bound g(Delta, alpha); alpha in [0, 1] unless
-    permissive (then any alpha >= 0).
+def bound_g(Delta: int, alpha: float) -> float:
+    """The one-parameter bound g(Delta, alpha); needs Delta >= 0 and alpha
+    in [0, 1].
 
     At delta = 1 it coincides with f bit-for-bit, since both evaluate the
     same sum-of-squares expression.
     """
     _, Delta = check_degrees(0, Delta)
-    return _g_kernel(Delta, check_alpha(alpha, permissive))
+    return _g_kernel(Delta, check_alpha(alpha))
 
 
-def bound_f(delta: int, Delta: int, alpha: float,
-            permissive: bool = False) -> float:
+def bound_f(delta: int, Delta: int, alpha: float) -> float:
     """The two-parameter bound f(delta, Delta, alpha); needs
-    0 <= delta <= Delta, alpha in [0, 1] unless permissive."""
+    0 <= delta <= Delta and alpha in [0, 1]."""
     delta, Delta = check_degrees(delta, Delta)
-    return _f_kernel(delta, Delta, check_alpha(alpha, permissive))
+    return _f_kernel(delta, Delta, check_alpha(alpha))
 
 
 def sqrt_arg_identity(Delta: int, alpha: float) -> tuple[float, float]:
@@ -173,10 +172,11 @@ def sqrt_arg_identity(Delta: int, alpha: float) -> tuple[float, float]:
         rhs = alpha^2*(Delta-1)^2 + 4*Delta*(1-alpha)^2
 
     They are equal as polynomials; rhs is a sum of squares, so it is the
-    form safe to put under a square root. Defined for Delta >= 0, alpha >= 0.
+    form safe to put under a square root. Needs Delta >= 0 and alpha in
+    [0, 1], the domain of g.
     """
     _, Delta = check_degrees(0, Delta)
-    alpha = check_alpha(alpha, permissive=True)
+    alpha = check_alpha(alpha)
     lhs = alpha * alpha * (Delta + 1) ** 2 + 4.0 * Delta * (1.0 - 2.0 * alpha)
     return lhs, _sqrt_arg(Delta - 1, Delta, alpha)
 

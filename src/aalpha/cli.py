@@ -2,17 +2,16 @@
 
 Subcommands: eval, classify, sweep, verify, certify-stars, spectral.
 Exit codes: 0 success, 1 consistency/bound violation or solver failure,
-2 bad input or I/O. Setting AALPHA_PERMISSIVE=1 admits alpha > 1 where the
-formulas remain defined (eval, spectral); classification always refuses it.
+2 bad input or I/O. Every alpha must lie in [0, 1]; any other is refused
+with exit 2.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .alpha_matrix import build_alpha_matrix
-from .bounds import bound_f, bound_g, classify, compare_numeric
+from .bounds import classify, compare_numeric
 from .errors import ConsistencyError, ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, emit_graph6, gen_complete,
                      gen_cycle, gen_random, gen_star, parse_edge_list,
@@ -20,10 +19,6 @@ from .graphs import (Graph, add_isolated, emit_graph6, gen_complete,
 from .harness import (certify_star_equality, emit_report, summarize_sweep,
                       sweep_grid, verification_violations, verify_graph)
 from .spectral import spectral_radius
-
-
-def _permissive() -> bool:
-    return os.environ.get("AALPHA_PERMISSIVE") == "1"
 
 
 def _fmt(v: float) -> str:
@@ -105,19 +100,12 @@ def _alpha_list(text: str) -> list[float]:
 
 
 def _cmd_eval(args) -> int:
-    permissive = _permissive()
-    if permissive and args.alpha > 1.0:
-        # Outside the proven trichotomy: report values, refuse to classify.
-        f = bound_f(args.delta, args.Delta, args.alpha, permissive=True)
-        g = bound_g(args.Delta, args.alpha, permissive=True)
-        ordering = witness = "unclassified"
-    else:
-        comp = compare_numeric(args.delta, args.Delta, args.alpha)
-        f, g = comp.f_value, comp.g_value
-        ordering, witness = comp.ordering.value, comp.witness.value
+    comp = compare_numeric(args.delta, args.Delta, args.alpha)
+    f, g = comp.f_value, comp.g_value
     fields = [("delta", args.delta), ("Delta", args.Delta),
               ("alpha", args.alpha), ("f", f), ("g", g), ("diff", f - g),
-              ("ordering", ordering), ("witness", witness)]
+              ("ordering", comp.ordering.value),
+              ("witness", comp.witness.value)]
     if args.json:
         print(json.dumps(dict(fields)))
     else:
@@ -175,7 +163,7 @@ def _cmd_certify_stars(args) -> int:
 
 def _cmd_spectral(args) -> int:
     gid, g = _load_graph(args)
-    am = build_alpha_matrix(g, args.alpha, permissive=_permissive())
+    am = build_alpha_matrix(g, args.alpha)
     res = spectral_radius(am, args.method)
     print(f"graph = {gid}")
     print(f"lambda1 = {_fmt(res.lambda1)}")

@@ -215,12 +215,10 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
     Reports lo, the measured residual ||A x - lo x|| and the number of
     steps. Basis rows are allocated as steps are taken, up to
     LANCZOS_MAX_STEPS rows of n; at that cap it raises ConvergenceError
-    with estimate lo and the enclosure [lo, hi] in its message. Needs alpha
-    in [0, 1], where the matrix is nonnegative.
+    with estimate lo and the enclosure [lo, hi] in its message. The
+    enclosure needs a nonnegative matrix, which AlphaMatrix guarantees by
+    holding alpha in [0, 1].
     """
-    if m.alpha > 1.0:
-        raise InputError(f"lanczos needs alpha in [0, 1], got {m.alpha}: its "
-                         "enclosure holds for nonnegative matrices only")
     apply = _operator(m)
     n, cap, shift = m.n, LANCZOS_MAX_STEPS, float(m.max_degree)
     basis = np.empty((1, n))
@@ -273,9 +271,7 @@ def _default_method(n: int) -> str:
 
 def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult:
     """Dispatch to a solver: dense LAPACK for n <= DISPATCH_DENSE_LIMIT (1000),
-    Lanczos above, or power iteration above it for a permissive alpha > 1,
-    whose matrix has negative entries. method may force "dense", "jacobi",
-    "power" or "lanczos".
+    Lanczos above. method may force "dense", "jacobi", "power" or "lanczos".
     """
     # Built per call, so that a solver replaced on this module is the one run.
     solvers = {"dense": spectral_radius_dense, "jacobi": spectral_radius_jacobi,
@@ -283,8 +279,6 @@ def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult
                "lanczos": spectral_radius_lanczos}
     if method is None:
         method = _default_method(m.n)
-        if method == "lanczos" and m.alpha > 1.0:
-            method = "power"
     if method not in tuple(solvers):  # by ==, so an unhashable one is unknown
         raise InputError(f"unknown method {method!r}, expected 'dense', "
                          "'jacobi', 'power' or 'lanczos'")

@@ -79,12 +79,7 @@ def test_alpha_domain():
     with pytest.raises(InputError):
         build_alpha_matrix(g, float("nan"))
     with pytest.raises(InputError):
-        build_alpha_matrix(g, float("inf"), permissive=True)
-    # permissive admits alpha > 1 but still no negatives
-    am = build_alpha_matrix(g, 1.5, permissive=True)
-    assert am.matrix[0, 1] == -0.5
-    with pytest.raises(InputError):
-        build_alpha_matrix(g, -0.1, permissive=True)
+        build_alpha_matrix(g, float("inf"))
 
 
 def test_matvec_shape_and_value():
@@ -118,19 +113,16 @@ def test_metadata_fields():
 
 def test_alpha_stack_layers_are_the_single_matrices():
     """Each layer is (1 - alpha)*A with alpha*deg on the diagonal, bit for
-    bit (a permissive alpha > 1 keeps its -0.0 entries), and equals
-    build_alpha_matrix."""
+    bit, and equals build_alpha_matrix."""
     g = gen_random(9, 0.5, 2)
     alphas = DYADIC_ALPHAS + GENERIC_ALPHAS + (0.5,)
     stack = alpha_stack(g, alphas)
     assert stack.shape == (len(alphas), 9, 9) and stack.dtype == np.float64
-    layers = [*stack, build_alpha_matrix(g, 1.5, permissive=True).matrix]
-    for a, m in zip(alphas + (1.5,), layers):
+    for a, m in zip(alphas, stack):
         ref = (1.0 - a) * g.adjacency_matrix()
         np.fill_diagonal(ref, a * np.asarray(g.degrees, dtype=float))
         assert m.tobytes() == ref.tobytes()
-        assert m.tobytes() == build_alpha_matrix(
-            g, a, permissive=True).matrix.tobytes()
+        assert m.tobytes() == build_alpha_matrix(g, a).matrix.tobytes()
     assert alpha_stack(g, []).shape == (0, 9, 9)
     assert alpha_stack(Graph(3, ()), [0.5]).tobytes() == \
         np.diag([0.0, 0.0, 0.0]).tobytes()

@@ -11,13 +11,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from aalpha import (BoundComparison, ConsistencyError, Graph, InputError,
-                    Ordering, Witness, add_isolated, bound_f, bound_g,
-                    build_alpha_matrix, certify_star_equality, classify,
-                    compare_numeric, gen_circulant, gen_complete, gen_cycle,
-                    gen_random, gen_star, numeric_ordering,
-                    random_campaign, sqrt_arg_identity, sweep_grid,
-                    verify_graph)
+from aalpha import (AlphaMatrix, BoundComparison, ConsistencyError, Graph,
+                    InputError, Ordering, Witness, add_isolated, alpha_stack,
+                    bound_f, bound_g, build_alpha_matrix,
+                    certify_star_equality, classify, compare_numeric,
+                    gen_circulant, gen_complete, gen_cycle, gen_random,
+                    gen_star, numeric_ordering, random_campaign,
+                    sqrt_arg_identity, sweep_grid, verify_graph)
 
 mpmath.mp.dps = 50
 
@@ -103,9 +103,9 @@ def test_sqrt_arg_identity_grid():
 
 
 def test_sqrt_arg_identity_domain():
-    # alpha above 1 is in-domain here (only alpha >= 0 is required)
-    lhs, rhs = sqrt_arg_identity(3, 2.0)
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    # alpha above 1 is refused here too: g's domain is alpha in [0, 1]
+    with pytest.raises(InputError, match=r"need alpha in \[0, 1\], got 2.0"):
+        sqrt_arg_identity(3, 2.0)
     with pytest.raises(InputError):
         sqrt_arg_identity(-1, 0.5)
     with pytest.raises(InputError):
@@ -163,7 +163,7 @@ def test_classify_domain():
     with pytest.raises(InputError):
         classify(3, 2, 0.5)
     with pytest.raises(InputError):
-        classify(0, 2, 1.5)  # refused even though bounds allow permissive
+        classify(0, 2, 1.5)  # refused, like alpha > 1 everywhere
     with pytest.raises(InputError):
         classify(0, 2, -0.5)
     with pytest.raises(InputError):
@@ -285,17 +285,35 @@ def test_none_or_text_is_not_a_real(call):
         call()
 
 
-def test_permissive_bounds():
-    want_f = float(mp_f(2, 3, 1.5))
-    want_g = float(mp_g(3, 1.5))
-    assert abs(bound_f(2, 3, 1.5, permissive=True) - want_f) <= 4e-16 * want_f
-    assert abs(bound_g(3, 1.5, permissive=True) - want_g) <= 4e-16 * want_g
-    with pytest.raises(InputError):
-        bound_f(2, 3, 1.5)
-    with pytest.raises(InputError):
-        bound_g(3, 1.5)
-    with pytest.raises(InputError):
-        bound_g(-1, 0.5)
+# Every entry point that takes alpha, as a call on that alpha.
+ALPHA_ENTRY_POINTS = {
+    "bound_f": lambda a: bound_f(2, 3, a),
+    "bound_g": lambda a: bound_g(3, a),
+    "sqrt_arg_identity": lambda a: sqrt_arg_identity(3, a),
+    "classify": lambda a: classify(2, 3, a),
+    "compare_numeric": lambda a: compare_numeric(2, 3, a),
+    "build_alpha_matrix": lambda a: build_alpha_matrix(gen_cycle(4), a),
+    "AlphaMatrix": lambda a: AlphaMatrix(gen_cycle(4), a),
+    "alpha_stack": lambda a: alpha_stack(gen_cycle(4), [0.5, a]),
+    "verify_graph": lambda a: verify_graph(gen_cycle(4), [0.5, a]),
+}
+
+
+@pytest.mark.parametrize("call, message", [
+    *[pytest.param(lambda entry=entry, a=a: entry(a),
+                   f"need alpha in [0, 1], got {a}", id=f"{name}-{a}")
+      for name, entry in ALPHA_ENTRY_POINTS.items()
+      for a in (1.5, 1.0000001)],
+    pytest.param(lambda: bound_g(-1, 0.5), "Delta must be >= 0, got -1",
+                 id="bound_g-Delta"),
+])
+def test_alpha_above_one_is_refused_everywhere(call, message):
+    """[0, 1] is the only alpha domain: every entry point refuses an alpha
+    above 1 with the one message of check_alpha, an AlphaMatrix built
+    directly included, so no matrix with negative entries can be made."""
+    with pytest.raises(InputError) as ei:
+        call()
+    assert str(ei.value) == message
 
 
 def test_numeric_ordering_thresholds():

@@ -1,4 +1,4 @@
-"""CLI behavior: output shapes, exit codes, permissive mode."""
+"""CLI behavior: output shapes, exit codes, the alpha domain."""
 
 import json
 import subprocess
@@ -334,30 +334,24 @@ def test_unwritable_output_exits_two(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_permissive_env(capsys, monkeypatch):
-    monkeypatch.setenv("AALPHA_PERMISSIVE", "1")
-    rc, out, _ = run(capsys, "eval", "--delta", "2", "--Delta", "3",
-                     "--alpha", "1.5")
-    assert rc == 0
-    got = fields(out)
-    assert got["ordering"] == "unclassified"
-    assert float(got["f"]) == bound_f(2, 3, 1.5, permissive=True)
-    assert float(got["g"]) == bound_g(3, 1.5, permissive=True)
-    # classification stays refused
-    rc, _, err = run(capsys, "classify", "--delta", "2", "--Delta", "3",
-                     "--alpha", "1.5")
-    assert rc == 2
-    # spectral accepts the wider domain
-    rc, out, _ = run(capsys, "spectral", "--gen", "complete:4",
-                     "--alpha", "1.5")
-    assert rc == 0
-    assert abs(float(fields(out)["lambda1"]) - 5.0) <= 1e-10
-
-
-def test_permissive_off_by_default(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("eval", "--delta", "2", "--Delta", "3", "--alpha", "1.5"),
+    ("classify", "--delta", "2", "--Delta", "3", "--alpha", "1.5"),
+    ("spectral", "--gen", "complete:4", "--alpha", "1.5"),
+    ("spectral", "--gen", "star:1200", "--alpha", "1.5"),  # above dense limit
+    ("verify", "--gen", "star:4", "--alphas", "0.5,1.5", "--out", "{out}"),
+], ids=["eval", "classify", "spectral-dense", "spectral-lanczos", "verify"])
+def test_alpha_above_one_exits_two_whatever_the_environment(
+        capsys, monkeypatch, tmp_path, argv):
+    """alpha has one domain, [0, 1], whatever the environment: setting
+    AALPHA_PERMISSIVE=1 changes neither the exit code nor the message."""
+    argv = [a.format(out=tmp_path / "r.csv") for a in argv]
     monkeypatch.delenv("AALPHA_PERMISSIVE", raising=False)
-    rc, _, _ = run(capsys, "spectral", "--gen", "complete:4", "--alpha", "1.5")
-    assert rc == 2
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("AALPHA_PERMISSIVE", "1")
+    assert run(capsys, *argv) == unset == \
+        (2, "", "error: need alpha in [0, 1], got 1.5\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_missing_subcommand_exits_two():
