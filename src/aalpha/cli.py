@@ -13,11 +13,11 @@ import sys
 from .alpha_matrix import build_alpha_matrix
 from .bounds import classify, compare_numeric
 from .errors import ConsistencyError, ConvergenceError, InputError
-from .graphs import (Graph, add_isolated, emit_graph6, gen_complete,
-                     gen_cycle, gen_random, gen_star, parse_edge_list,
-                     parse_graph6)
-from .harness import (certify_star_equality, emit_report, summarize_sweep,
-                      sweep_grid, verification_violations, verify_graph)
+from .graphs import (Graph, add_isolated, gen_complete, gen_cycle,
+                     gen_random, gen_star, parse_edge_list, parse_graph6)
+from .harness import (certify_star_equality, default_graph_id, emit_report,
+                      summarize_sweep, sweep_grid, verification_violations,
+                      verify_graph)
 from .spectral import spectral_radius
 
 
@@ -65,7 +65,7 @@ def _load_graph(args) -> tuple[str, Graph]:
         if not lines:
             raise InputError(f"no graph6 line found in {args.graph6}")
         g = parse_graph6(lines[0])
-        gid = "graph6:" + emit_graph6(g)  # canonical: prefix-independent
+        gid = default_graph_id(g)  # canonical: prefix-independent
     elif args.edgelist is not None:
         g = parse_edge_list(text)
         gid = f"edgelist:{args.edgelist}"
@@ -101,10 +101,9 @@ def _alpha_list(text: str) -> list[float]:
 
 def _cmd_eval(args) -> int:
     comp = compare_numeric(args.delta, args.Delta, args.alpha)
-    f, g = comp.f_value, comp.g_value
     fields = [("delta", args.delta), ("Delta", args.Delta),
-              ("alpha", args.alpha), ("f", f), ("g", g), ("diff", f - g),
-              ("ordering", comp.ordering.value),
+              ("alpha", args.alpha), ("f", comp.f_value), ("g", comp.g_value),
+              ("diff", comp.difference), ("ordering", comp.ordering.value),
               ("witness", comp.witness.value)]
     if args.json:
         print(json.dumps(dict(fields)))

@@ -12,14 +12,17 @@ Three campaigns, each a falsification attempt on a claim about the bounds:
 
 A sweep comes back as a SweepTable: one numpy array per report column, with
 orderings and witnesses as small integer codes, which still reads as a
-sequence of SweepRecord tuples. Graph checks are lists of VerificationRecord
-tuples. emit_report and parse_report round-trip both through CSV or JSON
-without precision loss, by way of the column arrays of one schema, _CELLS.
-Reports are UTF-8 text, so a graph_id may hold any character: CSV quotes one
-holding a comma, a quote, a carriage return or a line feed, and JSON escapes
-what is not ASCII. A malformed report raises InputError naming its first bad
-CSV line, or its first bad JSON record (the line and column of text that is
-not JSON); so does a file that is not UTF-8.
+sequence of SweepRecord tuples. verify_graph, random_campaign and
+certify_star_equality share one check, _check, which gives the report's
+columns: the first two make them into lists of VerificationRecord tuples,
+and certification reads its verdicts off them. emit_report and parse_report
+round-trip both through CSV or JSON without precision loss, by way of the
+column arrays of one schema, _CELLS. Reports are UTF-8 text, so a graph_id
+may hold any character: CSV quotes one holding a comma, a quote, a carriage
+return or a line feed, and JSON escapes what is not ASCII. A malformed
+report raises InputError naming its first bad CSV line, or its first bad
+JSON record (the line and column of text that is not JSON); so does a file
+that is not UTF-8.
 """
 
 import csv
@@ -36,9 +39,10 @@ from .bounds import (ORDERINGS, WITNESSES, Ordering, Witness, _classify_codes,
                      _f_kernel, _g_kernel, _numeric_code, check_alpha,
                      check_int, check_seq)
 from .errors import ConvergenceError, InputError
-from .graphs import (Graph, add_isolated, degree_profile, emit_graph6,
-                     from_edge_list, gen_complete, gen_cycle, gen_random,
-                     gen_star, is_connected, is_star)
+from .graphs import (Graph, add_isolated, emit_graph6, from_edge_list,
+                     gen_complete, gen_cycle, gen_random, gen_star,
+                     is_connected, is_star)
+from .graphs import degree_profile  # noqa: F401  for perfbench's hook
 from .spectral import (DISPATCH_DENSE_LIMIT, _default_method,
                        spectral_radii_dense, spectral_radius)
 
@@ -218,16 +222,16 @@ def default_graph_id(g: Graph) -> str:
 
 def _lambda1s(graphs, alphas, method: str | None, graph_ids) -> np.ndarray:
     """lambda1 of each graph's alpha matrix at each alpha (checked floats),
-    as a (len(graphs), len(alphas)) array. The graphs share n.
+    as a (len(graphs), len(alphas)) array. The graphs share n: _check calls
+    this once per vertex count.
 
     On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
     vertices, or method "dense") the matrices of all the graphs, graph by
     graph and alpha by alpha, form one stack, solved with one LAPACK call
-    per DISPATCH_DENSE_LIMIT**2 entries: so a campaign makes one LAPACK call
-    per vertex count, 13 for the default campaign, and no call holds more
-    than the biggest single dense matrix. A split may fall inside a graph's
-    alphas. A forced "jacobi", "power" or "lanczos", and every graph above
-    the limit, get one spectral_radius call per alpha. A ConvergenceError is
+    per DISPATCH_DENSE_LIMIT**2 entries, so no call holds more than the
+    biggest single dense matrix. A split may fall inside a graph's alphas.
+    A forced "jacobi", "power" or "lanczos", and every graph above the
+    limit, get one spectral_radius call per alpha. A ConvergenceError is
     re-raised naming each graph_id in the failed call with its alphas there.
     """
     n, k = graphs[0].n, len(alphas)
@@ -255,58 +259,67 @@ def _lambda1s(graphs, alphas, method: str | None, graph_ids) -> np.ndarray:
     return lams.reshape(len(graphs), k)
 
 
-def _verify(graphs, graph_ids, alphas,
-            method: str | None = None) -> list[VerificationRecord]:
-    """The records of graphs of one vertex count n >= 2, graph by graph and
-    alpha by alpha (checked floats). lambda1 comes from _lambda1s; f, g and
-    the three checks are computed over the (graph, alpha) array at once,
-    each equal bit for bit to its value at one point."""
-    lam = _lambda1s(graphs, alphas, method, graph_ids)
+# The report columns that hold one value per graph.
+_GRAPH_COLUMNS = ("graph_id", "n", "m", "Delta", "delta", "is_star",
+                  "is_connected")
+
+
+def _check(graphs, graph_ids, alphas, method: str | None = None) -> dict:
+    """The bound checks of graphs (each n >= 2) at alphas (checked floats),
+    the one check of every campaign, as VERIFICATION_COLUMNS arrays: graph
+    by graph and alpha by alpha, the graphs grouped by vertex count in
+    first-seen order. _lambda1s solves a group at a time, which is let go
+    once checked; f, g and the three checks are computed over the (graph,
+    alpha) array at once, each equal bit for bit to its value at one point.
+    """
+    groups = {}  # n -> [(graph, graph_id)], in first-seen order
+    for g, gid in zip(graphs, graph_ids):
+        if g.n < 2:
+            raise InputError(f"verification needs n >= 2, got n = {g.n}")
+        groups.setdefault(g.n, []).append((g, gid))
     k = len(alphas)
-    a = np.array(alphas, dtype=np.float64)
-    degrees = np.array([g.degrees for g in graphs])
-    delta, Delta = degrees.min(1), degrees.max(1)
+    rows, lams = [], [np.empty((0, k))]
+    for n in list(groups):
+        gs, ids = zip(*groups.pop(n))
+        lams.append(_lambda1s(gs, alphas, method, ids))
+        degrees = np.array([g.degrees for g in gs])
+        rows += zip(ids, [n] * len(gs), [g.edge_count for g in gs],
+                    degrees.max(1).tolist(), degrees.min(1).tolist(),
+                    map(is_star, gs), map(is_connected, gs))
+    lam = np.concatenate(lams)
+    per_graph = _columns(rows, _GRAPH_COLUMNS)
     # A row per graph and a column per alpha. The kernels square degree
     # gaps; in float64 that cannot wrap.
-    fDelta = Delta[:, None].astype(np.float64)
-    f = _f_kernel(delta[:, None].astype(np.float64), fDelta, a, np)
-    gg = _g_kernel(fDelta, a, np)
-
-    def each(values):  # one value per graph, repeated for its alphas
-        return np.repeat(values, k)
-
-    columns = dict(zip(VERIFICATION_COLUMNS, (
-        each(np.array(graph_ids, dtype=object)), each([g.n for g in graphs]),
-        each([g.edge_count for g in graphs]), each(Delta), each(delta),
-        np.tile(a, len(graphs)), lam.ravel(), f.ravel(), gg.ravel(),
-        (lam >= f - BOUND_SLACK).ravel(), (lam >= gg - BOUND_SLACK).ravel(),
-        (np.abs(lam - gg) <= EQUALITY_TOL).ravel(),
-        each(list(map(is_star, graphs))),
-        each(list(map(is_connected, graphs))))))
-    return list(_records(columns, VERIFICATION_COLUMNS, VerificationRecord))
+    a = np.array(alphas, dtype=np.float64)
+    fdelta, fDelta = (per_graph[c][:, None] * 1.0 for c in ("delta", "Delta"))
+    f, gg = _f_kernel(fdelta, fDelta, a, np), _g_kernel(fDelta, a, np)
+    columns = {name: np.repeat(c, k) for name, c in per_graph.items()}
+    columns.update(
+        alpha=np.tile(a, len(lam)), lambda1=lam.ravel(), f=f.ravel(),
+        g=gg.ravel(), f_holds=(lam >= f - BOUND_SLACK).ravel(),
+        g_holds=(lam >= gg - BOUND_SLACK).ravel(),
+        g_equality=(np.abs(lam - gg) <= EQUALITY_TOL).ravel())
+    return columns
 
 
 def verify_graph(g: Graph, alpha_list, method: str | None = None,
                  graph_id: str | None = None) -> list[VerificationRecord]:
     """Check lambda1 >= f - 1e-8 and lambda1 >= g - 1e-8 for each alpha.
 
-    Needs n >= 2 and every alpha in [0, 1]. Records are produced in the
+    Needs every alpha in [0, 1] and n >= 2. Records are produced in the
     given alpha order; g_holds is recorded honestly even for edgeless
     graphs, where g > 0 = lambda1 — verification_violations applies the
-    edge-count exclusion. This is random_campaign's check, run on one
+    edge-count exclusion. This is _check, every campaign's check, on one
     graph: on the dense path all the alphas go through one LAPACK call (one
-    per DISPATCH_DENSE_LIMIT**2 entries of the stack), where the campaign
-    makes one LAPACK call per vertex count, 13 for the default campaign.
-    Each lambda1 equals a solve of that matrix alone, bit for bit. method
-    None is the spectral_radius dispatcher; "jacobi", "power" or "lanczos"
-    force a solver, one call per alpha.
+    per DISPATCH_DENSE_LIMIT**2 entries), and each lambda1 equals a solve of
+    that matrix alone, bit for bit. method None is the spectral_radius
+    dispatcher; "jacobi", "power" or "lanczos" force one call per alpha.
     """
-    if g.n < 2:
-        raise InputError(f"verification needs n >= 2, got n = {g.n}")
     alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
     if graph_id is None:
         graph_id = default_graph_id(g)
-    return _verify([g], [graph_id], alphas, method)
+    return list(_records(_check([g], [graph_id], alphas, method),
+                         VERIFICATION_COLUMNS, VerificationRecord))
 
 
 def verification_violations(records) -> list[VerificationRecord]:
@@ -329,8 +342,8 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
     argument is a sequence, and every graph is solved by the spectral_radius
     dispatcher; verify_graph's method forces an oracle on one graph.
 
-    Each alpha is checked once, and the graphs are checked by vertex count
-    with verify_graph's code: one LAPACK call per vertex count, 13 for the
+    Each alpha is checked once, and all the graphs go through one _check,
+    verify_graph's code: one LAPACK call per vertex count, 13 for the
     default campaign (n = 2..14), split only where a stack would pass
     DISPATCH_DENSE_LIMIT**2 entries, which may be inside a graph's alphas.
     Every record equals verify_graph's for its graph, bit for bit.
@@ -340,23 +353,15 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
     seeds = check_seq("seeds", seeds)
     isolated_counts = check_seq("isolated_counts", isolated_counts)
     alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
-    groups = {}  # n -> ([graph], [graph_id]), each in drawing order
-    for n in n_values:
-        for p in p_values:
-            for seed in seeds:
-                base = gen_random(n, p, seed)
-                base_id = f"random:{n},{p},{seed}"
-                for k in isolated_counts:
-                    g = add_isolated(base, k) if k else base
-                    if g.n < 2:
-                        raise InputError(
-                            f"verification needs n >= 2, got n = {g.n}")
-                    graphs, ids = groups.setdefault(g.n, ([], []))
-                    graphs.append(g)
-                    ids.append(base_id + (f"+iso{k}" if k else ""))
-    records = []
-    for n in list(groups):  # a group's graphs are let go once checked
-        records += _verify(*groups.pop(n), alphas)
+    draws = [(n, p, s) for n in n_values for p in p_values for s in seeds]
+    ids = [f"random:{n},{p},{seed}" + (f"+iso{k}" if k else "")
+           for n, p, seed in draws for k in isolated_counts]
+    # Drawn as _check reads them, so that no graph outlives its group.
+    graphs = (add_isolated(base, k) if k else base
+              for base in itertools.starmap(gen_random, draws)
+              for k in isolated_counts)
+    records = list(_records(_check(graphs, ids, alphas),
+                            VERIFICATION_COLUMNS, VerificationRecord))
     records.sort(key=lambda r: (r.graph_id, r.alpha))
     return records
 
@@ -376,44 +381,38 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
     """Equality certification for stars, strictness for non-stars.
 
     For every Delta in [1, Delta_max] and alpha = k/alpha_steps the star
-    K_{1,Delta} must satisfy |lambda1 - g(Delta, alpha)| <= 1e-8; the fixed
-    connected non-star set (C4, C5, K4, P4, K23) must satisfy
+    K_{1,Delta} must pass the g_equality check, |lambda1 - g| <= 1e-8; the
+    fixed connected non-star set (C4, C5, K4, P4, K23) must satisfy
     lambda1 > g + 1e-6 at alpha in {0, 0.25, 0.5, 0.75}. alpha = 1 is left
     out of the strictness set because lambda1 = Delta = g there for every
-    graph. The spectral_radius dispatcher solves these small matrices with
-    LAPACK: the 101 alphas of a star at alpha_steps = 100, or the four of a
-    non-star, in one call per graph.
+    graph. Verdicts, gap and margin are read off _check's columns, so the
+    failures list the stars, then the non-stars by vertex count (C4, K4,
+    P4, C5, K23), and LAPACK is called once per vertex count: 20 + 2 times
+    for certify_star_equality(20, 100).
     """
     Delta_max = check_int("Delta_max", Delta_max, 1)
     alpha_steps = check_int("alpha_steps", alpha_steps, 1)
-    alphas = [k / alpha_steps for k in range(alpha_steps + 1)]
-    failures = []
-    eq_checks = 0
-    max_gap = 0.0
-    for Delta in range(1, Delta_max + 1):
-        lams = _lambda1s([gen_star(Delta + 1)], alphas, None,
-                         [f"star Delta={Delta}"])
-        for alpha, lam in zip(alphas, lams[0].tolist()):
-            gap = abs(lam - _g_kernel(Delta, alpha))
-            eq_checks += 1
-            max_gap = max(max_gap, gap)
-            if gap > EQUALITY_TOL:
-                failures.append(
-                    f"star Delta={Delta} alpha={alpha:g}: |lambda1 - g| = {gap:.3e}")
-    strict_checks = 0
-    min_margin = float("inf")
-    for name, g in _non_star_fixtures():
-        Delta = degree_profile(g).max_degree
-        lams = _lambda1s([g], STRICTNESS_ALPHAS, None, [name])
-        for alpha, lam in zip(STRICTNESS_ALPHAS, lams[0].tolist()):
-            margin = lam - _g_kernel(Delta, alpha)
-            strict_checks += 1
-            min_margin = min(min_margin, margin)
-            if margin <= STRICTNESS_MARGIN:
-                failures.append(
-                    f"non-star {name} alpha={alpha:g}: margin = {margin:.3e}")
-    return StarCertification(Delta_max, alpha_steps, eq_checks, max_gap,
-                             strict_checks, min_margin, tuple(failures),
+    Deltas = range(1, Delta_max + 1)
+    stars = _check([gen_star(Delta + 1) for Delta in Deltas],
+                   [f"star Delta={Delta}" for Delta in Deltas],
+                   [k / alpha_steps for k in range(alpha_steps + 1)])
+    names, graphs = zip(*_non_star_fixtures())
+    others = _check(graphs, names, STRICTNESS_ALPHAS)
+    gap = np.abs(stars["lambda1"] - stars["g"])
+    margin = others["lambda1"] - others["g"]
+
+    def lines(columns, failed, value, text):
+        return [text.format(*row) for row in zip(*(
+            c[failed].tolist() for c in (columns["graph_id"],
+                                         columns["alpha"], value)))]
+
+    failures = (lines(stars, ~stars["g_equality"], gap,
+                      "{} alpha={:g}: |lambda1 - g| = {:.3e}")
+                + lines(others, margin <= STRICTNESS_MARGIN, margin,
+                        "non-star {} alpha={:g}: margin = {:.3e}"))
+    return StarCertification(Delta_max, alpha_steps, len(gap),
+                             float(gap.max()), len(margin),
+                             float(margin.min()), tuple(failures),
                              not failures)
 
 

@@ -1,11 +1,13 @@
 """Sweep, graph verification, star certification, and report round-trips."""
 
 import csv
+import importlib
 import io
 import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,8 +149,13 @@ def test_verify_graph_edgeless_g_exclusion():
 
 
 def test_verify_graph_validation():
-    with pytest.raises(InputError):
+    """A one-vertex graph gets random_campaign's refusal, word for word."""
+    with pytest.raises(InputError) as ei:
         verify_graph(Graph(1, ()), [0.5])
+    with pytest.raises(InputError) as campaign:
+        random_campaign(n_values=[1])
+    assert str(ei.value) == str(campaign.value) == \
+        "verification needs n >= 2, got n = 1"
     with pytest.raises(InputError):
         verify_graph(gen_star(3), [1.5])
     with pytest.raises(InputError):
@@ -175,7 +182,7 @@ def test_verify_graph_wraps_solver_failure(monkeypatch):
     assert err.estimate == 1.25 and err.residual == 0.5 and err.iterations == 7
 
 
-@pytest.mark.parametrize("method", ["jacobi", "power"])
+@pytest.mark.parametrize("method", ["jacobi", "power", "lanczos"])
 def test_verify_graph_oracles_solve_per_alpha(monkeypatch, method):
     """A forced oracle gives one spectral_radius call per alpha, the same
     lambda1 as solving each matrix alone, and a failure names the alpha."""
@@ -267,15 +274,14 @@ def _counted_eigh(monkeypatch):
     return calls
 
 
-def test_certify_star_equality_one_lapack_call_per_graph(monkeypatch):
-    """20 stars and 5 non-star fixtures: 25 eigh calls, not 2040."""
+def test_certify_star_equality_one_lapack_call_per_vertex_count(monkeypatch):
+    """20 stars, n = 2..21, and 5 non-star fixtures, three of 4 vertices and
+    two of 5: 22 eigh calls, in that order, not 2040."""
     calls = _counted_eigh(monkeypatch)
     cert = certify_star_equality(20, 100)
     assert cert.equality_checks + cert.strictness_checks == 2040
-    assert len(calls) == 25
-    assert sorted(calls) == sorted(
-        [(101, d + 1, d + 1) for d in range(1, 21)]
-        + [(4, n, n) for n in (4, 5, 4, 4, 5)])
+    assert calls == [(101, n, n) for n in range(2, 22)] + [(12, 4, 4),
+                                                           (8, 5, 5)]
     calls.clear()
     verify_graph(gen_cycle(400), [k / 6 for k in range(7)])
     assert calls == [(6, 400, 400), (1, 400, 400)]  # 10**6 // 400**2 = 6
@@ -452,6 +458,7 @@ def test_random_campaign_small():
     iso = [r for r in records if r.graph_id.endswith("+iso1")]
     assert iso and all(r.delta == 0 for r in iso)
     assert random_campaign(alpha_list=[]) == []
+    assert random_campaign(n_values=[]) == []
 
 
 def test_certify_star_equality_passes():
@@ -481,6 +488,15 @@ def test_certify_star_equality_failure_listing(monkeypatch):
     cert = harness_mod.certify_star_equality(1, 2)
     assert not cert.passed
     assert any(line.startswith("non-star") for line in cert.failures)
+    # The non-stars come grouped by vertex count: n = 4, then n = 5.
+    margins = {"C4": ("5.858e-01", "5.570e-01", "5.000e-01", "3.596e-01"),
+               "K4": ("1.268e+00", "1.177e+00", "1.000e+00", "6.340e-01"),
+               "P4": ("2.038e-01", "2.084e-01", "2.071e-01", "1.686e-01"),
+               "C5": ("5.858e-01", "5.570e-01", "5.000e-01", "3.596e-01"),
+               "K23": ("7.174e-01", "6.435e-01", "5.000e-01", "2.270e-01")}
+    assert cert.failures == tuple(
+        f"non-star {name} alpha={a:g}: margin = {m}"
+        for name, ms in margins.items() for a, m in zip(STRICTNESS_ALPHAS, ms))
 
 
 def test_certify_star_equality_validation():
@@ -729,3 +745,18 @@ def test_verification_record_fields_are_named_tuples():
     r = verify_graph(gen_star(3), [0.5])[0]
     assert isinstance(r, VerificationRecord)
     assert r._fields[:3] == ("graph_id", "n", "edge_count")
+
+
+def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
+    """Every function a traced benchmark pass wraps is still there under the
+    name it wraps, so dropping one fails here and not only in the benchmark.
+    harness keeps its degree_profile import for this hook alone."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name, workload in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        hooks = workload(0, "tiny", str(tmp_path / name)).hooks()
+        assert hooks, name
+        for hook in hooks:
+            assert callable(getattr(hook.module, hook.attr)), (name, hook)
