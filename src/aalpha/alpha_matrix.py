@@ -54,25 +54,24 @@ def _assemble(graphs, alphas, start: int = 0,
     each alpha in turn: layer i is graphs[i // k] at alphas[i % k], for
     k = len(alphas). The graphs share n, and the alphas are checked floats.
 
-    A slice may begin and end inside a graph's alphas. Each layer gets the
-    two IEEE operations of a matrix built alone, and equals that matrix bit
+    A slice may begin and end inside a graph's alphas. Each entry is one
+    IEEE operation, as in a matrix built alone: 1 - alpha on an edge,
+    alpha * degree on the diagonal. So each layer equals that matrix bit
     for bit.
     """
     k, n = len(alphas), graphs[0].n
     stop = len(graphs) * k if stop is None else stop
-    # One allocation, scaled in place: a product into a second array would
-    # fault in fresh pages for every large matrix.
     m = np.zeros((stop - start, n, n))
     if stop == start:
         return m
+    which, at = np.divmod(np.arange(start, stop), k)
+    a = np.array(alphas, dtype=float)[at]
+    off = (1.0 - a)[:, None]
     first, last = start // k, (stop - 1) // k + 1  # the graphs in the slice
     for i in range(first, last):  # each fills its run of layers
         u, v = graphs[i].edges.T
         layers = slice(max(i * k - start, 0), (i + 1) * k - start)
-        m[layers, u, v] = m[layers, v, u] = 1.0
-    which, at = np.divmod(np.arange(start, stop), k)
-    a = np.array(alphas, dtype=float)[at]
-    m *= (1.0 - a)[:, None, None]
+        m[layers, u, v] = m[layers, v, u] = off[layers]
     degrees = np.array([g.degrees for g in graphs[first:last]])
     idx = np.arange(n)
     m[:, idx, idx] = a[:, None] * degrees[which - first]

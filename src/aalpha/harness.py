@@ -243,10 +243,11 @@ def _lambda1s(graphs, alphas, method: str | None, graph_ids) -> np.ndarray:
         hi = min(lo + step, total)
         try:
             if dense:
-                results = spectral_radii_dense(_assemble(graphs, alphas, lo, hi))
+                lams[lo:hi] = spectral_radii_dense(
+                    _assemble(graphs, alphas, lo, hi))[0]
             else:
-                results = [spectral_radius(build_alpha_matrix(
-                    graphs[lo // k], alphas[lo % k]), method)]
+                lams[lo] = spectral_radius(build_alpha_matrix(
+                    graphs[lo // k], alphas[lo % k]), method).lambda1
         except ConvergenceError as exc:
             at = "; ".join(
                 f"{graph_ids[i]} at alpha="
@@ -255,7 +256,6 @@ def _lambda1s(graphs, alphas, method: str | None, graph_ids) -> np.ndarray:
             raise ConvergenceError(
                 f"eigensolver failed on {at}: {exc}", estimate=exc.estimate,
                 residual=exc.residual, iterations=exc.iterations) from exc
-        lams[lo:hi] = [r.lambda1 for r in results]
     return lams.reshape(len(graphs), k)
 
 

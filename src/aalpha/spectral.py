@@ -49,15 +49,15 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(b))
 
 
-def spectral_radii_dense(stack: np.ndarray) -> list[SpectralResult]:
+def spectral_radii_dense(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK's symmetric eigensolver (numpy.linalg.eigh) on a (k, n, n)
     stack of matrices, in one call.
 
-    Reports, for each matrix in order, the largest eigenvalue, the measured
-    residual ||a x - lambda1 x|| of its unit eigenvector x, and one
-    iteration. Each result equals a solve of that matrix alone, bit for bit:
-    the gufunc runs the same LAPACK routine on every matrix, and the
-    residual's product and inner product are BLAS calls on one matrix each.
+    Returns two float64 arrays of length k: each matrix's largest eigenvalue,
+    and the measured residual ||a x - lambda1 x|| of its unit eigenvector x.
+    Each pair equals a solve of that matrix alone, bit for bit: the gufunc
+    runs the same LAPACK routine on every matrix, and the residual's product
+    and inner product are BLAS calls on one matrix each.
     """
     if stack.shape[-1] < 1:
         raise InputError("spectral radius needs at least one vertex")
@@ -65,14 +65,13 @@ def spectral_radii_dense(stack: np.ndarray) -> list[SpectralResult]:
     lam = w[:, -1]
     top = x[:, :, -1:]
     r = stack @ top - lam[:, None, None] * top
-    resid = np.sqrt(r.transpose(0, 2, 1) @ r)[:, 0, 0]
-    return [SpectralResult(v, "dense", e, 1)
-            for v, e in zip(lam.tolist(), resid.tolist())]
+    return lam, np.sqrt(r.transpose(0, 2, 1) @ r)[:, 0, 0]
 
 
 def spectral_radius_dense(m: AlphaMatrix) -> SpectralResult:
-    """spectral_radii_dense on the stack of one matrix."""
-    return spectral_radii_dense(m.matrix[None])[0]
+    """spectral_radii_dense on the stack of one matrix, as a SpectralResult."""
+    lam, resid = spectral_radii_dense(m.matrix[None])
+    return SpectralResult(float(lam[0]), "dense", float(resid[0]), 1)
 
 
 def spectral_radius_jacobi(m: AlphaMatrix) -> SpectralResult:
@@ -127,23 +126,22 @@ def spectral_radius_jacobi(m: AlphaMatrix) -> SpectralResult:
 
 def _operator(m: AlphaMatrix):
     """m.matrix @ x as a function of x, read from the graph's edge and degree
-    arrays without building m.matrix: O(n + m) memory, and O(n + m) time
-    for each product after one sort of the 2m + n entries.
+    arrays without building m.matrix: O(n + m) memory and time.
 
-    The nonzero entries, diagonal and zero entries included, are laid out
-    in the dense matrix's row-major order, so np.bincount sums each row in
-    the order a scan of m.matrix would: power iteration's results are those
-    of a run over the dense matrix, bit for bit.
+    Row r is laid out as the edges (u, r) below the diagonal, then (r, r),
+    then the edges (r, v) above it. The edge array is sorted with u < v, so
+    each run of edges is already in column order, and np.bincount sums each
+    row as a row-major scan of m.matrix would, with no sort: power
+    iteration and Lanczos give the results of a run over m.matrix, bit for
+    bit.
     """
     n = m.n
     if n < 1:
         raise InputError("spectral radius needs at least one vertex")
     (u, v), idx = m.graph.edges.T, np.arange(n)
-    rows, cols = np.concatenate((u, v, idx)), np.concatenate((v, u, idx))
-    order = np.argsort(rows * n + cols)
-    rows, cols = rows[order], cols[order]
-    vals = np.full(len(rows), 1.0 - m.alpha)
-    vals[rows == cols] = m.alpha * m.degrees
+    rows, cols = np.concatenate((v, idx, u)), np.concatenate((u, idx, v))
+    off = np.full(len(u), 1.0 - m.alpha)
+    vals = np.concatenate((off, m.alpha * m.degrees, off))
     return lambda x: np.bincount(rows, weights=vals * x[cols], minlength=n)
 
 

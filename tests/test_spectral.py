@@ -304,6 +304,24 @@ def test_power_matches_the_dense_scan_bit_for_bit(monkeypatch):
         ("fail", err.estimate, err.residual, err.iterations)
 
 
+def test_operator_is_the_row_major_scan():
+    """The matrix-free operator sums each row in the order a scan of the
+    dense matrix's nonzero entries does, for any x: Lanczos feeds it basis
+    vectors with negative entries, not only power iteration's positive
+    iterates. The last graph is above the dense limit."""
+    graphs = (add_isolated(gen_random(60, 0.1, 5), 7), gen_star(6),
+              Graph(5, ()), gen_complete(2), Graph(1, ()),
+              add_isolated(gen_random(1500, 0.005, 3), 30))
+    rng = np.random.default_rng(19)
+    for g in graphs:
+        x = rng.standard_normal(g.n)
+        for alpha in (0.0, 0.25, 1 / 3, 1.0):
+            am = build_alpha_matrix(g, alpha)
+            r, c = np.nonzero(am.matrix)
+            ref = np.bincount(r, am.matrix[r, c] * x[c], minlength=g.n)
+            assert spectral_mod._operator(am)(x).tobytes() == ref.tobytes()
+
+
 def test_dense_stack_matches_single_solves():
     """Every result of a stacked solve, residual included, equals an eigh
     call and a residual on that matrix alone, bit for bit."""
@@ -318,7 +336,9 @@ def test_dense_stack_matches_single_solves():
             lam, top = float(w[-1]), x[:, -1]
             single.append(SpectralResult(
                 lam, "dense", float(np.linalg.norm(m @ top - lam * top)), 1))
-        assert spectral_radii_dense(alpha_stack(g, ALPHAS)) == single
+        lam, resid = spectral_radii_dense(alpha_stack(g, ALPHAS))
+        assert [SpectralResult(v, "dense", e, 1)
+                for v, e in zip(lam.tolist(), resid.tolist())] == single
         assert [spectral_radius_dense(build_alpha_matrix(g, a))
                 for a in ALPHAS] == single
     with pytest.raises(InputError):
