@@ -271,8 +271,15 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
 
 
 def add_isolated(g: Graph, k: int) -> Graph:
-    """Same edges with k extra isolated vertices appended."""
-    return Graph(g.n + check_int("k", k), g.edges)
+    """Same edges with k extra isolated vertices appended. The edge array is
+    valid already, so it is shared, not checked again; the degrees gain k
+    zeros."""
+    k = check_int("k", k)
+    degrees = np.concatenate((g.degrees, np.zeros(k, g.degrees.dtype)))
+    degrees.flags.writeable = False
+    h = object.__new__(Graph)
+    h.__dict__.update(n=g.n + k, edges=g.edges, degrees=degrees)
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,26 @@ def test_sweep_writes_report(tmp_path, capsys):
     assert len(records) == int(got["points"])
 
 
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """main reuses one parser, and each command still looks its
+    collaborators up as module globals, so a patched one is called."""
+    argv = ["classify", "--delta", "2", "--Delta", "3", "--alpha", "0.5"]
+    assert run(capsys, *argv)[0] == 0
+
+    def build_parser():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli_mod, "build_parser", build_parser)
+    assert run(capsys, *argv)[0] == 0
+    calls = []
+    monkeypatch.setattr(cli_mod, "emit_report",
+                        lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "s.csv"
+    assert run(capsys, "sweep", "--delta-max", "1", "--Delta-max", "1",
+               "--alpha-steps", "2", "--out", str(out))[0] == 0
+    assert len(calls) == 1 and not out.exists()
+
+
 def test_sweep_json_format(tmp_path, capsys):
     out_path = tmp_path / "sweep.json"
     rc, _, _ = run(capsys, "sweep", "--delta-max", "1", "--Delta-max", "1",

@@ -286,6 +286,28 @@ def test_add_isolated():
         add_isolated(g, -1)
 
 
+def test_add_isolated_pads_the_valid_graph(monkeypatch):
+    """add_isolated(g, k) is Graph(g.n + k, g.edges) with the same hash and
+    read-only arrays, built without running the edge validator again."""
+    graphs = [gen_random(n, p, seed) for n in (2, 7, 13) for p in (0.3, 0.8)
+              for seed in (0, 1)] + [Graph(0, ()), Graph(4, ()), gen_star(5)]
+    expected = {(g, k): Graph(g.n + k, g.edges) for g in graphs
+                for k in (0, 1, 3)}
+
+    def validate(self):
+        raise AssertionError("add_isolated validated its edges again")
+
+    monkeypatch.setattr(Graph, "__post_init__", validate)
+    for (g, k), want in expected.items():
+        got = add_isolated(g, k)
+        assert got == want and hash(got) == hash(want)
+        assert got.n == want.n and np.array_equal(got.edges, want.edges)
+        assert got.degrees.dtype == want.degrees.dtype
+        assert np.array_equal(got.degrees, want.degrees)
+        assert not got.edges.flags.writeable
+        assert not got.degrees.flags.writeable
+
+
 def test_is_connected():
     assert is_connected(gen_cycle(5))
     assert is_connected(Graph(1, ()))
