@@ -17,8 +17,8 @@ from .graphs import (GRAPH6_MAX_N, DegreeProfile, Graph, add_isolated,
                      is_connected, is_star, parse_edge_list, parse_graph6)
 from .harness import (BOUND_SLACK, EQUALITY_TOL, STRICTNESS_ALPHAS,
                       STRICTNESS_MARGIN, SWEEP_COLUMNS, VERIFICATION_COLUMNS,
-                      StarCertification, SweepRecord, SweepSummary,
-                      SweepTable, VerificationRecord, certify_star_equality,
+                      ReportTable, StarCertification, SweepRecord,
+                      SweepSummary, VerificationRecord, certify_star_equality,
                       default_graph_id, emit_report, parse_report,
                       random_campaign, render_report, summarize_sweep,
                       sweep_grid, verification_violations, verify_graph)
@@ -42,7 +42,7 @@ __all__ = [
     "emit_graph6", "from_edge_list", "gen_circulant", "gen_complete",
     "gen_cycle", "gen_random", "gen_star", "is_connected", "is_star",
     "parse_edge_list", "parse_graph6",
-    "SweepRecord", "SweepSummary", "SweepTable", "VerificationRecord",
+    "ReportTable", "SweepRecord", "SweepSummary", "VerificationRecord",
     "StarCertification",
     "sweep_grid", "summarize_sweep", "verify_graph",
     "verification_violations", "random_campaign", "certify_star_equality",

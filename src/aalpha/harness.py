@@ -10,23 +10,25 @@ Three campaigns, each a falsification attempt on a claim about the bounds:
   * certify_star_equality — stars must achieve g exactly; a fixed set of
                      connected non-stars must beat it strictly.
 
-A sweep comes back as a SweepTable: one numpy array per report column, with
-orderings and witnesses as small integer codes, which still reads as a
-sequence of SweepRecord tuples. verify_graph, random_campaign and
-certify_star_equality share one check, _check, which gives the report's
-columns: the first two make them into lists of VerificationRecord tuples,
-and certification reads its verdicts off them. emit_report and parse_report
-round-trip both through CSV or JSON without precision loss, by way of the
-column arrays of one schema, _CELLS. Reports are UTF-8 text, so a graph_id
-may hold any character: CSV quotes one holding a comma, a quote, a carriage
-return or a line feed, and JSON escapes what is not ASCII. A malformed
-report raises InputError naming its first bad CSV line, or its first bad
-JSON record (the line and column of text that is not JSON); so does a file
-that is not UTF-8.
+sweep_grid, verify_graph, random_campaign and parse_report all give a
+ReportTable: one numpy array per report column, with orderings and
+witnesses as small integer codes, which reads as a sequence of SweepRecord
+or VerificationRecord tuples, as its column names say. verify_graph,
+random_campaign and certify_star_equality share one check, _check, whose
+table the first two return and certification reads its verdicts off.
+emit_report and parse_report round-trip both kinds through CSV or JSON
+without precision loss, by way of the column arrays of one schema, _CELLS.
+Reports are UTF-8 text, so a graph_id may hold any character: CSV quotes
+one holding a comma, a quote, a carriage return or a line feed, and JSON
+escapes what is not ASCII. A malformed report raises InputError naming its
+first bad CSV line, or its first bad JSON record (the line and column of
+text that is not JSON); so does a file that is not UTF-8.
 
 emit_report never holds a report as one text: it formats and writes
 _BLOCK_ROWS rows at a time. parse_report hands an open CSV file to
 np.loadtxt, which reads it line by line; a JSON report is read as one text.
+Only a CSV report that fails is read again, by csv.reader, to name its bad
+line: _BLOCK_ROWS rows at a time, each column converted at once.
 On the 24.7 MB CSV report of sweep_grid(60, 60, 100), tracemalloc peaks at
 2.5 MB in emit_report and 36.5 MB in parse_report.
 """
@@ -83,64 +85,6 @@ class SweepSummary(NamedTuple):
     inconsistent: int
 
 
-class SweepTable:
-    """Sweep records stored column by column.
-
-    ``columns`` maps each SWEEP_COLUMNS name to a read-only numpy array:
-    int64 degrees, float64 reals, a bool ``consistent``, and int8 codes in
-    ``symbolic``, ``numeric`` and ``witness`` that index bounds.ORDERINGS
-    and bounds.WITNESSES.
-
-    The table reads as a sequence of SweepRecord. Iteration and integer
-    indexing give records of plain int, float, bool and enum values, a
-    slice gives a table, and a table equals any table, list or tuple that
-    holds the same records, so an empty table equals [].
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns):
-        cols = {name: np.array(columns[name], dtype=_CELLS[name].dtype)
-                for name in SWEEP_COLUMNS}
-        if len({c.shape for c in cols.values()}) != 1 or cols["delta"].ndim != 1:
-            raise InputError("sweep columns must be 1-d and of equal length")
-        for c in cols.values():
-            c.flags.writeable = False
-        self.columns = cols
-
-    @classmethod
-    def from_records(cls, records) -> "SweepTable":
-        """The table of any iterable of SweepRecord; a table comes back as is."""
-        if isinstance(records, cls):
-            return records
-        return cls(_columns(records, SWEEP_COLUMNS))
-
-    def __len__(self) -> int:
-        return len(self.columns["delta"])
-
-    def __iter__(self):
-        return _records(self.columns, SWEEP_COLUMNS, SweepRecord)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SweepTable({k: c[index] for k, c in self.columns.items()})
-        i = range(len(self))[index]  # IndexError and TypeError as for a list
-        return next(iter(self[i:i + 1]))
-
-    def __eq__(self, other):
-        if isinstance(other, SweepTable):
-            return all(np.array_equal(a, b) for a, b in
-                       zip(self.columns.values(), other.columns.values()))
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"SweepTable({len(self)} records)"
-
-
 class VerificationRecord(NamedTuple):
     """Bound check for one concrete graph at one alpha."""
 
@@ -173,11 +117,89 @@ class StarCertification(NamedTuple):
     passed: bool
 
 
+class ReportTable:
+    """Report records of one kind, stored column by column.
+
+    ``columns`` maps each of the kind's column names, SWEEP_COLUMNS or
+    VERIFICATION_COLUMNS in that order, to a read-only numpy array of the
+    dtype _CELLS gives it, the orderings and the witness as int8 codes into
+    bounds.ORDERINGS and bounds.WITNESSES. ``kind``, 'sweep' or
+    'verification', is read off the column names.
+
+    The table reads as a sequence of its kind's record, SweepRecord or
+    VerificationRecord. Iteration and integer indexing give records of plain
+    Python values; a slice, an index array or a mask gives a table. A table
+    equals a table of its kind, a list or a tuple that holds the same
+    records, so an empty table equals [].
+    """
+
+    __slots__ = ("columns", "kind")
+
+    def __init__(self, columns):
+        self.kind = "verification" if "graph_id" in columns else "sweep"
+        cols = {name: np.array(columns[name], dtype=_CELLS[name].dtype)
+                for name in _KINDS[self.kind][0]}
+        if len({c.shape for c in cols.values()}) != 1 or cols["delta"].ndim != 1:
+            raise InputError(f"{self.kind} columns must be 1-d and of equal "
+                             "length")
+        for c in cols.values():
+            c.flags.writeable = False
+        self.columns = cols
+
+    @classmethod
+    def from_records(cls, records, kind: str) -> "ReportTable":
+        """The table of any iterable of kind's records; a table of that kind
+        comes back as is, and one of the other kind is refused."""
+        if kind not in _KINDS:
+            raise InputError(f"unknown report kind {kind!r}, expected sweep or "
+                             "verification (no records to infer it from)")
+        if isinstance(records, cls):
+            if records.kind != kind:
+                raise InputError(f"expected {kind} records, got a "
+                                 f"{records.kind} table")
+            return records
+        names = _KINDS[kind][0]
+        fields = list(zip(*records)) or [()] * len(names)
+        if len(fields) != len(names):
+            raise InputError(f"report records have {len(names)} fields, "
+                             f"got {len(fields)}")
+        return cls({name: _encode(values, _CELLS[name], _CELLS[name].members)
+                    for name, values in zip(names, fields)})
+
+    def __len__(self) -> int:
+        return len(self.columns["delta"])
+
+    def __iter__(self):
+        return itertools.starmap(_KINDS[self.kind][1], zip(*(
+            _values(c, _CELLS[name].members)
+            for name, c in self.columns.items())))
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return ReportTable({k: c[index] for k, c in self.columns.items()})
+        i = range(len(self))[index]  # IndexError and TypeError as for a list
+        return next(iter(self[i:i + 1]))
+
+    def __eq__(self, other):
+        if isinstance(other, ReportTable):
+            return self.kind == other.kind and all(
+                np.array_equal(a, b) for a, b in
+                zip(self.columns.values(), other.columns.values()))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ReportTable({len(self)} {self.kind} records)"
+
+
 def sweep_grid(delta_max: int, Delta_max: int,
-               alpha_steps: int) -> SweepTable:
+               alpha_steps: int) -> ReportTable:
     """Every (delta, Delta, alpha) with 0 <= delta <= min(Delta, delta_max),
     delta <= Delta <= Delta_max, alpha = k/alpha_steps for k = 0..alpha_steps,
-    in (delta, Delta, alpha) order, as a SweepTable.
+    in (delta, Delta, alpha) order, as a ReportTable.
 
     Each record carries the symbolic classification, the numeric sign of
     f - g at epsilon 1e-9, and their agreement flag; nothing raises here so
@@ -201,15 +223,15 @@ def sweep_grid(delta_max: int, Delta_max: int,
     diff = f - g
     symbolic, witness = _classify_codes(delta, Delta, alpha)
     numeric = _numeric_code(diff)
-    return SweepTable(dict(zip(SWEEP_COLUMNS, (
+    return ReportTable(dict(zip(SWEEP_COLUMNS, (
         delta, Delta, alpha, f, g, diff, symbolic, numeric, witness,
         symbolic == numeric))))
 
 
 def summarize_sweep(records) -> SweepSummary:
-    """Count orderings and disagreements across a SweepTable, or across any
-    iterable of SweepRecord, which is made into a table first."""
-    table = SweepTable.from_records(records)
+    """Count orderings and disagreements across a sweep ReportTable, or
+    across any iterable of SweepRecord, which is made into a table first."""
+    table = ReportTable.from_records(records, "sweep")
     counts = dict(zip(ORDERINGS, np.bincount(
         table.columns["symbolic"], minlength=len(ORDERINGS)).tolist()))
     total = len(table)
@@ -270,10 +292,11 @@ _GRAPH_COLUMNS = ("graph_id", "n", "m", "Delta", "delta", "is_star",
                   "is_connected")
 
 
-def _check(graphs, graph_ids, alphas, method: str | None = None) -> dict:
+def _check(graphs, graph_ids, alphas,
+           method: str | None = None) -> ReportTable:
     """The bound checks of graphs (each n >= 2) at alphas (checked floats),
-    the one check of every campaign, as VERIFICATION_COLUMNS arrays: graph
-    by graph and alpha by alpha, the graphs grouped by vertex count in
+    the one check of every campaign, as a verification table: graph by
+    graph and alpha by alpha, the graphs grouped by vertex count in
     first-seen order. _lambda1s solves a group at a time, which is let go
     once checked; f, g and the three checks are computed over the (graph,
     alpha) array at once, each equal bit for bit to its value at one point.
@@ -284,16 +307,19 @@ def _check(graphs, graph_ids, alphas, method: str | None = None) -> dict:
             raise InputError(f"verification needs n >= 2, got n = {g.n}")
         groups.setdefault(g.n, []).append((g, gid))
     k = len(alphas)
-    rows, lams = [], [np.empty((0, k))]
+    per_graph, lams = {name: [] for name in _GRAPH_COLUMNS}, [np.empty((0, k))]
     for n in list(groups):
         gs, ids = zip(*groups.pop(n))
         lams.append(_lambda1s(gs, alphas, method, ids))
         degrees = np.array([g.degrees for g in gs])
-        rows += zip(ids, [n] * len(gs), [g.edge_count for g in gs],
-                    degrees.max(1).tolist(), degrees.min(1).tolist(),
-                    map(is_star, gs), map(is_connected, gs))
+        for name, values in zip(_GRAPH_COLUMNS, (
+                ids, [n] * len(gs), [g.edge_count for g in gs],
+                degrees.max(1), degrees.min(1), map(is_star, gs),
+                map(is_connected, gs))):
+            per_graph[name].extend(values)
     lam = np.concatenate(lams)
-    per_graph = _columns(rows, _GRAPH_COLUMNS)
+    per_graph = {name: np.array(values, dtype=_CELLS[name].dtype)
+                 for name, values in per_graph.items()}
     # A row per graph and a column per alpha. The kernels square degree
     # gaps; in float64 that cannot wrap.
     a = np.array(alphas, dtype=np.float64)
@@ -305,11 +331,11 @@ def _check(graphs, graph_ids, alphas, method: str | None = None) -> dict:
         g=gg.ravel(), f_holds=(lam >= f - BOUND_SLACK).ravel(),
         g_holds=(lam >= gg - BOUND_SLACK).ravel(),
         g_equality=(np.abs(lam - gg) <= EQUALITY_TOL).ravel())
-    return columns
+    return ReportTable(columns)
 
 
 def verify_graph(g: Graph, alpha_list, method: str | None = None,
-                 graph_id: str | None = None) -> list[VerificationRecord]:
+                 graph_id: str | None = None) -> ReportTable:
     """Check lambda1 >= f - 1e-8 and lambda1 >= g - 1e-8 for each alpha.
 
     Needs every alpha in [0, 1] and n >= 2. Records are produced in the
@@ -324,22 +350,25 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
     if graph_id is None:
         graph_id = default_graph_id(g)
-    return list(_records(_check([g], [graph_id], alphas, method),
-                         VERIFICATION_COLUMNS, VerificationRecord))
+    return _check([g], [graph_id], alphas, method)
 
 
 def verification_violations(records) -> list[VerificationRecord]:
     """Records that contradict the bounds: any failed f check, or a failed
     g check on a graph with at least one edge (g does not apply to edgeless
-    graphs, where it exceeds lambda1 = 0 for every alpha > 0)."""
-    return [r for r in records
-            if not r.f_holds or (r.edge_count >= 1 and not r.g_holds)]
+    graphs, where it exceeds lambda1 = 0 for every alpha > 0). records is a
+    verification ReportTable, or any sequence of VerificationRecord, which
+    is made into a table first; the verdicts are one mask over its
+    columns."""
+    table = ReportTable.from_records(records, "verification")
+    c = table.columns
+    return list(table[~c["f_holds"] | ((c["m"] >= 1) & ~c["g_holds"])])
 
 
 def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
                     seeds=range(3), isolated_counts=(0, 1, 2),
                     alpha_list=(0.0, 0.25, 0.5, 0.75, 1.0)
-                    ) -> list[VerificationRecord]:
+                    ) -> ReportTable:
     """Bound checks over a deterministic family of random graphs.
 
     The defaults draw G(n, p) for n in [2, 12], p in {0.2, 0.5, 0.8}, three
@@ -366,10 +395,9 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
     graphs = (add_isolated(base, k) if k else base
               for base in itertools.starmap(gen_random, draws)
               for k in isolated_counts)
-    records = list(_records(_check(graphs, ids, alphas),
-                            VERIFICATION_COLUMNS, VerificationRecord))
-    records.sort(key=lambda r: (r.graph_id, r.alpha))
-    return records
+    table = _check(graphs, ids, alphas)
+    return table[np.lexsort((table.columns["alpha"],
+                             table.columns["graph_id"]))]
 
 
 def _non_star_fixtures() -> list[tuple[str, Graph]]:
@@ -404,18 +432,15 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
                    [k / alpha_steps for k in range(alpha_steps + 1)])
     names, graphs = zip(*_non_star_fixtures())
     others = _check(graphs, names, STRICTNESS_ALPHAS)
-    gap = np.abs(stars["lambda1"] - stars["g"])
-    margin = others["lambda1"] - others["g"]
-
-    def lines(columns, failed, value, text):
-        return [text.format(*row) for row in zip(*(
-            c[failed].tolist() for c in (columns["graph_id"],
-                                         columns["alpha"], value)))]
-
-    failures = (lines(stars, ~stars["g_equality"], gap,
-                      "{} alpha={:g}: |lambda1 - g| = {:.3e}")
-                + lines(others, margin <= STRICTNESS_MARGIN, margin,
-                        "non-star {} alpha={:g}: margin = {:.3e}"))
+    gap = np.abs(stars.columns["lambda1"] - stars.columns["g"])
+    margin = others.columns["lambda1"] - others.columns["g"]
+    failures = (
+        [f"{r.graph_id} alpha={r.alpha:g}: |lambda1 - g| = "
+         f"{abs(r.lambda1 - r.g_value):.3e}"
+         for r in stars[~stars.columns["g_equality"]]]
+        + [f"non-star {r.graph_id} alpha={r.alpha:g}: margin = "
+           f"{r.lambda1 - r.g_value:.3e}"
+           for r in others[margin <= STRICTNESS_MARGIN]])
     return StarCertification(Delta_max, alpha_steps, len(gap),
                              float(gap.max()), len(margin),
                              float(margin.min()), tuple(failures),
@@ -437,7 +462,10 @@ SWEEP_COLUMNS = ("delta", "Delta", "alpha", "f", "g", "diff", "symbolic",
 VERIFICATION_COLUMNS = ("graph_id", "n", "m", "Delta", "delta", "alpha",
                         "lambda1", "f", "g", "f_holds", "g_holds",
                         "g_equality", "is_star", "is_connected")
-_BLOCK_ROWS = 4096  # report rows formatted and written at a time
+# Each report kind's column names and record type.
+_KINDS = {"sweep": (SWEEP_COLUMNS, SweepRecord),
+          "verification": (VERIFICATION_COLUMNS, VerificationRecord)}
+_BLOCK_ROWS = 4096  # report rows formatted, written or re-read at a time
 
 
 def _csv_quote(text: str) -> str:
@@ -516,25 +544,6 @@ def _values(column: np.ndarray, keys: tuple) -> list:
     return np.array(keys, dtype=object)[column.astype(np.intp)].tolist()
 
 
-def _columns(records, names) -> dict:
-    """The column arrays of a sequence of records whose fields are the
-    columns names, in order; a SweepTable gives its own."""
-    if isinstance(records, SweepTable) and names == SWEEP_COLUMNS:
-        return records.columns
-    fields = list(zip(*records)) or [()] * len(names)
-    if len(fields) != len(names):
-        raise InputError(f"report records have {len(names)} fields, "
-                         f"got {len(fields)}")
-    return {name: _encode(values, _CELLS[name], _CELLS[name].members)
-            for name, values in zip(names, fields)}
-
-
-def _records(columns: dict, names, record):
-    """The records, of NamedTuple type record, that column arrays hold."""
-    return itertools.starmap(record, zip(*(
-        _values(columns[name], _CELLS[name].members) for name in names)))
-
-
 def _texts(column: np.ndarray, text: Callable, names: tuple) -> list[str]:
     """The text of each entry of a column: a coded column's is picked from
     names, any other's is text(value), with every distinct value formatted
@@ -551,27 +560,24 @@ def _texts(column: np.ndarray, text: Callable, names: tuple) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _report_columns(records, format: str, kind: str | None):
-    """The column names and arrays of records, after the checks on format,
-    kind and record width that come before any text is written; kind
+def _report_columns(records, format: str, kind: str | None) -> dict:
+    """The column arrays of records, after the checks on kind, format and
+    record width that come before any text is written; kind
     ('sweep'/'verification') is inferred from the first record when
     present."""
     if kind is None and records:
         kind = "sweep" if isinstance(records[0], SweepRecord) else "verification"
-    names = {"sweep": SWEEP_COLUMNS,
-             "verification": VERIFICATION_COLUMNS}.get(kind)
-    if names is None:
-        raise InputError(f"unknown report kind {kind!r}, expected sweep or "
-                         "verification (no records to infer it from)")
+    table = ReportTable.from_records(records, kind)
     if format not in ("csv", "json"):
         raise InputError(f"unknown report format {format!r}, expected csv or json")
-    return names, _columns(records, names)
+    return table.columns
 
 
-def _report_blocks(names: tuple, columns: dict, format: str):
-    """The report text of column arrays, _BLOCK_ROWS rows at a time: the
-    head, one block of rows per step, then the tail. A block's cells are
-    formatted a column at a time, each distinct value once."""
+def _report_blocks(columns: dict, format: str):
+    """The report text of a table's column arrays, _BLOCK_ROWS rows at a
+    time: the head, one block of rows per step, then the tail. A block's
+    cells are formatted a column at a time, each distinct value once."""
+    names = tuple(columns)
     total = len(columns[names[0]])
     if format == "json":
         # json.dumps(rows, indent=1), written a column at a time.
@@ -592,11 +598,11 @@ def _report_blocks(names: tuple, columns: dict, format: str):
 
 
 def render_report(records, format: str = "csv", kind: str | None = None) -> str:
-    """Records (a SweepTable or a sequence of records) as CSV or JSON text;
+    """Records (a ReportTable or a sequence of records) as CSV or JSON text;
     kind ('sweep'/'verification') is inferred from the first record when
     present."""
-    names, columns = _report_columns(records, format, kind)
-    return "".join(_report_blocks(names, columns, format))
+    return "".join(_report_blocks(_report_columns(records, format, kind),
+                                  format))
 
 
 def emit_report(records, format: str = "csv", path=None,
@@ -605,9 +611,9 @@ def emit_report(records, format: str = "csv", path=None,
     a time; records the text cannot be made of leave no file."""
     if path is None:
         raise InputError("emit_report needs a destination path")
-    names, columns = _report_columns(records, format, kind)
+    columns = _report_columns(records, format, kind)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(_report_blocks(names, columns, format))
+        fh.writelines(_report_blocks(columns, format))
 
 
 def _decode(column: np.ndarray, names: tuple[str, ...]):
@@ -621,22 +627,53 @@ def _decode(column: np.ndarray, names: tuple[str, ...]):
     return order[pos]
 
 
-def _fits(cell: _Cell, value, keys: tuple) -> bool:
-    """Whether a CSV cell or a JSON value can stand in a column: one of keys
-    for a coded column, and convertible to its dtype for any other."""
-    if keys:
-        return value in keys
-    try:
-        np.array(value, dtype=cell.dtype)
-    except (ValueError, OverflowError):
-        return False
-    return True
+def _misfit(cell: _Cell, values: list, keys: tuple, types=()) -> int | None:
+    """Index of the first of values (CSV cells, or JSON values of types)
+    that cannot stand in a column, or None: a coded column's must be keys,
+    any other's convertible to its dtype. All the values are tried at once,
+    and one by one only when that fails."""
+    def fit(part):
+        if types and not set(map(type, part)) <= set(types):
+            return False
+        if keys:
+            return set(part) <= set(keys)
+        try:
+            np.array(part, dtype=cell.dtype)
+        except (ValueError, OverflowError):
+            return False
+        return True
+
+    if fit(values):
+        return None
+    return next(i for i, v in enumerate(values) if not fit([v]))
 
 
-def _malformed(path, header, reason) -> InputError:
+def _bad_cell(header, block, read) -> InputError | None:
+    """An InputError naming the first cell of a block of (line number, row)
+    pairs that does not fit its column, or None: the smallest line, and on
+    it the first column in header order. The columns in read, which
+    np.loadtxt has already read, are not looked at."""
+    bad = []  # (row, column) of the first bad cell of each failing column
+    for j, name in enumerate(header):
+        i = None if name in read else _misfit(
+            _CELLS[name], [row[j] for _, row in block], _CELLS[name].names)
+        if i is not None:
+            bad.append((i, j))
+    if not bad:
+        return None
+    i, j = min(bad)
+    line, row = block[i]
+    return InputError(f"line {line}: bad {header[j]} cell {row[j]!r}")
+
+
+def _malformed(path, header, reason, read=()) -> InputError:
     """An InputError naming the first line of a CSV report that does not fit
-    its header. This reads the file again row by row, so it runs only after
-    the column-wise parse has failed."""
+    its header, where np.loadtxt has read the columns in read. This reads
+    the file again, so it runs only after the column-wise parse has failed:
+    csv.reader reads it up to its first row of the wrong width or that is
+    not CSV, and _bad_cell checks the rows before that _BLOCK_ROWS at a
+    time."""
+    block, stop = [], None
     with open(path, encoding="utf-8", newline="\n") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -645,15 +682,18 @@ def _malformed(path, header, reason) -> InputError:
                 if not row:
                     continue  # np.loadtxt skips blank lines too
                 if len(row) != len(header):
-                    return InputError(f"line {reader.line_num}: expected "
+                    stop = InputError(f"line {reader.line_num}: expected "
                                       f"{len(header)} fields, found {len(row)}")
-                for name, cell in zip(header, row):
-                    if not _fits(_CELLS[name], cell, _CELLS[name].names):
-                        return InputError(f"line {reader.line_num}: bad "
-                                          f"{name} cell {cell!r}")
+                    break
+                block.append((reader.line_num, row))
+                if len(block) == _BLOCK_ROWS:
+                    if bad := _bad_cell(header, block, read):
+                        return bad
+                    block = []
         except csv.Error as exc:
-            return InputError(f"line {reader.line_num}: {exc}")
-    return InputError(f"malformed report: {reason}")
+            stop = InputError(f"line {reader.line_num}: {exc}")
+    return (_bad_cell(header, block, read) or stop
+            or InputError(f"malformed report: {reason}"))
 
 
 def _head(fh) -> str:
@@ -666,9 +706,9 @@ def _head(fh) -> str:
     return head
 
 
-def _csv_columns(head: str, fh, path) -> tuple[tuple[str, ...], dict]:
-    """The header and columns of a CSV report whose first lines, head, have
-    been read from fh: np.loadtxt reads the rest of fh line by line, and the
+def _csv_columns(head: str, fh, path) -> dict:
+    """The columns of a CSV report whose first lines, head, have been read
+    from fh: np.loadtxt reads the rest of fh line by line, and the
     cells are decoded cell kind by cell kind. An empty file is an empty
     verification report."""
     header = tuple(next(csv.reader([head.partition("\n")[0]] if head else []),
@@ -694,14 +734,15 @@ def _csv_columns(head: str, fh, path) -> tuple[tuple[str, ...], dict]:
         if cell.names:
             column = _decode(column, cell.names)
             if column is None:
-                raise _malformed(path, header, f"unknown {name} cell")
+                raise _malformed(path, header, f"unknown {name} cell", [
+                    c for c in header if not _CELLS[c].names])
         columns[name] = np.ascontiguousarray(column, dtype=cell.dtype)
-    return header, columns
+    return columns
 
 
-def _json_columns(text: str) -> tuple[tuple[str, ...], dict]:
-    """The header and columns of a JSON report; the kind is read off the
-    first record, and an empty list is an empty verification report."""
+def _json_columns(text: str) -> dict:
+    """The columns of a JSON report; the kind is read off the first record,
+    and an empty list is an empty verification report."""
     try:
         objs = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -718,23 +759,17 @@ def _json_columns(text: str) -> tuple[tuple[str, ...], dict]:
     columns = {}
     for name in header:
         cell, values = _CELLS[name], [obj[name] for obj in objs]
-        keys = cell.json_values
-        try:
-            if not set(map(type, values)) <= set(cell.json_types) or (
-                    keys and not set(values) <= set(keys)):
-                raise ValueError(name)
-            columns[name] = _encode(values, cell, keys)
-        except (ValueError, OverflowError):
-            i, v = next((i, v) for i, v in enumerate(values) if not (
-                type(v) in cell.json_types and _fits(cell, v, keys)))
-            raise InputError(f"record {i}: bad {name} value {v!r}") from None
-    return header, columns
+        i = _misfit(cell, values, cell.json_values, cell.json_types)
+        if i is not None:
+            raise InputError(f"record {i}: bad {name} value {values[i]!r}")
+        columns[name] = _encode(values, cell, cell.json_values)
+    return columns
 
 
 def parse_report(path):
-    """Read a report back: a SweepTable for a sweep report, a list of
-    VerificationRecord otherwise, and [] for an empty file or JSON list.
-    Format and kind are inferred from the content itself. Both formats are
+    """Read a report back as a ReportTable of the report's kind; an empty
+    file or JSON list is an empty verification table, equal to []. Format
+    and kind are inferred from the content itself. Both formats are
     read into the columns that _CELLS describes; malformed CSV raises
     InputError naming its first bad line, malformed JSON naming its first
     bad record, and a file that is not UTF-8 naming the file. CSV is read
@@ -745,11 +780,9 @@ def parse_report(path):
             head = _head(fh)
             if head.lstrip().startswith("["):
                 fh.seek(0)
-                header, columns = _json_columns(fh.read())
+                columns = _json_columns(fh.read())
             else:
-                header, columns = _csv_columns(head, fh, path)
+                columns = _csv_columns(head, fh, path)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
-    if header == SWEEP_COLUMNS:
-        return SweepTable(columns)
-    return list(_records(columns, header, VerificationRecord))
+    return ReportTable(columns)

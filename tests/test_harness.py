@@ -1,6 +1,7 @@
 """Sweep, graph verification, star certification, and report round-trips."""
 
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -16,7 +17,7 @@ import aalpha.alpha_matrix as alpha_matrix_mod
 import aalpha.harness as harness_mod
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, EQUALITY_TOL,
                     Graph, InputError, Ordering, STRICTNESS_ALPHAS,
-                    SweepRecord, SweepTable, SWEEP_COLUMNS,
+                    ReportTable, SweepRecord, SWEEP_COLUMNS,
                     VERIFICATION_COLUMNS, VerificationRecord, Witness,
                     add_isolated, bound_f, bound_g, build_alpha_matrix,
                     certify_star_equality, classify, emit_report,
@@ -64,7 +65,7 @@ def test_sweep_grid_matches_scalar_api():
     """Every column of the array sweep equals the scalar API bit for bit at
     every point, with full-mantissa alphas (k/13)."""
     table = sweep_grid(4, 9, 13)
-    assert isinstance(table, SweepTable)
+    assert isinstance(table, ReportTable)
     assert len(table) == sum(9 - d + 1 for d in range(5)) * 14
     for r in table:
         assert type(r.delta) is int and type(r.alpha) is float
@@ -82,18 +83,21 @@ def test_sweep_table_reads_as_records():
     table = sweep_grid(2, 3, 4)
     records = list(table)
     assert table == records and records == table and table == tuple(records)
-    assert table == SweepTable.from_records(records)
+    assert table == ReportTable.from_records(records, "sweep")
     assert table != records[:-1] and table != sweep_grid(2, 3, 5)
     assert table[0] == records[0] and table[-1] == records[-1]
-    assert table[3:7] == records[3:7] and isinstance(table[3:7], SweepTable)
+    assert table[3:7] == records[3:7] and isinstance(table[3:7], ReportTable)
     with pytest.raises(IndexError):
         table[len(records)]
     assert table[:0] == [] and [] == table[:0]
     assert summarize_sweep(records) == summarize_sweep(table)
     with pytest.raises(InputError):
-        SweepTable.from_records(verify_graph(gen_star(3), [0.5]))
+        ReportTable.from_records(verify_graph(gen_star(3), [0.5]), "sweep")
+    with pytest.raises(InputError):
+        ReportTable.from_records(table, "verification")
+    assert table[:0] != verify_graph(gen_star(3), [0.5])[:0]
     with pytest.raises(InputError, match="of equal length"):
-        SweepTable({**table.columns, "delta": table.columns["delta"][1:]})
+        ReportTable({**table.columns, "delta": table.columns["delta"][1:]})
 
 
 def test_sweep_grid_validation():
@@ -626,8 +630,8 @@ def _hand_sweep(sweep):
 
 
 def _hand_verification(graph_ids):
-    records = verify_graph(gen_random(4, 0.5, 0), [0.0, 1 / 3],
-                           graph_id="random:4,0.5,0")
+    records = list(verify_graph(gen_random(4, 0.5, 0), [0.0, 1 / 3],
+                                graph_id="random:4,0.5,0"))
     for gid in graph_ids:
         records += verify_graph(gen_cycle(4), [0.5], graph_id=gid)
     return records
@@ -678,6 +682,22 @@ def test_report_graph_id_outside_ascii_round_trips(tmp_path, fmt):
     assert parse_report(path) == records
 
 
+@pytest.mark.parametrize("make, fmt, sha256", [
+    (random_campaign, "csv",
+     "c62cc5b82ddbd6073a56e228df016e9ad0db513952cda65c9e5e88a5977c6787"),
+    (random_campaign, "json",
+     "8bcb84cec8325ffc8374ea9c805377cae3c1daecd42103c07b769eb38baf7bf3"),
+    (lambda: sweep_grid(60, 60, 100), "csv",
+     "2d79ded369fd89e6e70347059fd64bed5650fcc18d1a698f6aa2b275dab37976"),
+], ids=["campaign-csv", "campaign-json", "sweep-csv"])
+def test_report_bytes_are_pinned(make, fmt, sha256):
+    """The default campaign's reports and the 190991-point sweep's CSV
+    report keep their SHA-256 digests, so no change to how records are held
+    or written can change a byte of them."""
+    text = render_report(make(), fmt)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 def test_parse_report_not_utf8_names_the_file(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"\xff")
@@ -713,7 +733,10 @@ def test_parse_report_names_a_bad_last_line(tmp_path):
     (sweep_grid(0, 0, 1), "csv", "other", "unknown report kind 'other'"),
     (sweep_grid(0, 0, 1), "xml", None, "unknown report format 'xml'"),
     ([(1, 2, 3)], "csv", "sweep", "report records have 10 fields, got 3"),
-], ids=["no-kind", "unknown-kind", "unknown-format", "record-width"])
+    (verify_graph(gen_star(3), [0.5]), "csv", "sweep",
+     "expected sweep records, got a verification table"),
+], ids=["no-kind", "unknown-kind", "unknown-format", "record-width",
+        "kind-mismatch"])
 def test_emit_report_refusal_creates_no_file(tmp_path, records, format, kind,
                                              message):
     path = tmp_path / "r.out"
@@ -791,6 +814,26 @@ def test_parse_report_unknown_ordering_names_line(tmp_path):
         parse_report(_write(tmp_path, lines))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({(3, "consistent"): "maybe", (6, "witness"): "x"},
+     "line 4: bad consistent cell 'maybe'"),
+    ({(3, "witness"): "x", (3, "symbolic"): "Bigger", (7, "consistent"): "no"},
+     "line 4: bad symbolic cell 'Bigger'"),
+    ({(4, "delta"): "x", (2, "consistent"): "maybe"},
+     "line 3: bad consistent cell 'maybe'"),
+], ids=["smallest-line", "first-column", "coded-before-numeric"])
+def test_parse_report_names_the_first_bad_cell(tmp_path, bad, message):
+    """Of several bad cells, the one on the smallest line is named, and on
+    that line the one in the first column in header order."""
+    lines = render_report(sweep_grid(1, 1, 2), "csv").splitlines()
+    for (i, name), cell in bad.items():
+        cells = lines[i].split(",")
+        cells[SWEEP_COLUMNS.index(name)] = cell
+        lines[i] = ",".join(cells)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        parse_report(_write(tmp_path, lines))
+
+
 def test_parse_report_huge_integer_names_line(tmp_path):
     lines = render_report(verify_graph(gen_cycle(4), [0.0, 0.5]),
                           "csv").splitlines()
@@ -842,16 +885,31 @@ def test_verification_record_fields_are_named_tuples():
     assert r._fields[:3] == ("graph_id", "n", "edge_count")
 
 
+def _workloads(monkeypatch):
+    """The benchmark's workloads module, imported from perfbench/."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("workloads")
+
+
 def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
     """Every function a traced benchmark pass wraps is still there under the
     name it wraps, so dropping one fails here and not only in the benchmark.
     harness keeps its degree_profile import for this hook alone."""
-    monkeypatch.syspath_prepend(
-        str(Path(__file__).resolve().parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    for name, workload in workloads.WORKLOADS.items():
+    for name, workload in _workloads(monkeypatch).WORKLOADS.items():
         (tmp_path / name).mkdir()
         hooks = workload(0, "tiny", str(tmp_path / name)).hooks()
         assert hooks, name
         for hook in hooks:
             assert callable(getattr(hook.module, hook.attr)), (name, hook)
+
+
+@pytest.mark.parametrize("name", ["grid", "campaign"])
+def test_benchmark_checks_pass(tmp_path, monkeypatch, name):
+    """One tiny untraced pass of a benchmark workload passes the benchmark's
+    own output checks: the record digest, the report round-trip and the
+    counts. large checks against references that run.py computes, so
+    perfbench/test_smoke.py covers it."""
+    workload = _workloads(monkeypatch).WORKLOADS[name](0, "tiny",
+                                                        str(tmp_path))
+    assert workload.check(workload.run_pass())["errors"] == []
