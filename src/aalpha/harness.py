@@ -17,7 +17,7 @@ or VerificationRecord tuples, as its column names say. verify_graph,
 random_campaign and certify_star_equality share one check, _check, whose
 table the first two return and certification reads its verdicts off.
 emit_report and parse_report round-trip both kinds through CSV or JSON
-without precision loss, by way of the column arrays of one schema, _CELLS.
+without precision loss, by way of the column arrays the record types state.
 Reports are UTF-8 text, so a graph_id may hold any character: CSV quotes
 one holding a comma, a quote, a carriage return or a line feed, and JSON
 escapes what is not ASCII. A malformed report raises InputError naming its
@@ -37,6 +37,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import operator
 from typing import Callable, NamedTuple
 
@@ -287,11 +288,6 @@ def _lambda1s(graphs, alphas, method: str | None, graph_ids) -> np.ndarray:
     return lams.reshape(len(graphs), k)
 
 
-# The report columns that hold one value per graph.
-_GRAPH_COLUMNS = ("graph_id", "n", "m", "Delta", "delta", "is_star",
-                  "is_connected")
-
-
 def _check(graphs, graph_ids, alphas,
            method: str | None = None) -> ReportTable:
     """The bound checks of graphs (each n >= 2) at alphas (checked floats),
@@ -306,17 +302,19 @@ def _check(graphs, graph_ids, alphas,
         if g.n < 2:
             raise InputError(f"verification needs n >= 2, got n = {g.n}")
         groups.setdefault(g.n, []).append((g, gid))
-    k = len(alphas)
-    per_graph, lams = {name: [] for name in _GRAPH_COLUMNS}, [np.empty((0, k))]
+    if not groups:
+        return ReportTable.from_records((), "verification")
+    k, per_graph, lams = len(alphas), {}, []
     for n in list(groups):
         gs, ids = zip(*groups.pop(n))
         lams.append(_lambda1s(gs, alphas, method, ids))
         degrees = np.array([g.degrees for g in gs])
-        for name, values in zip(_GRAPH_COLUMNS, (
-                ids, [n] * len(gs), [g.edge_count for g in gs],
-                degrees.max(1), degrees.min(1), map(is_star, gs),
-                map(is_connected, gs))):
-            per_graph[name].extend(values)
+        for name, values in dict(  # the columns of one value per graph
+                graph_id=ids, n=[n] * len(gs), m=[g.edge_count for g in gs],
+                Delta=degrees.max(1), delta=degrees.min(1),
+                is_star=map(is_star, gs),
+                is_connected=map(is_connected, gs)).items():
+            per_graph.setdefault(name, []).extend(values)
     lam = np.concatenate(lams)
     per_graph = {name: np.array(values, dtype=_CELLS[name].dtype)
                  for name, values in per_graph.items()}
@@ -452,19 +450,12 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
 #
 # CSV is the canonical artifact (fixed column order, reals at %.17g which
 # round-trips float64 exactly, booleans as true/false, csv.writer quoting);
-# JSON holds the same columns with native types. _CELLS is the one statement
-# of the schema: records, CSV text and JSON objects of both report kinds all
-# pass through the column arrays it describes.
+# JSON holds the same columns with native types. The record types state the
+# schema: a kind's columns are its record's fields, renamed by _RENAMES, with
+# the cells _TYPE_CELLS gives their annotations (_schema). Records, CSV text
+# and JSON objects of both kinds pass through the column arrays of _CELLS.
 # ---------------------------------------------------------------------------
 
-SWEEP_COLUMNS = ("delta", "Delta", "alpha", "f", "g", "diff", "symbolic",
-                 "numeric", "witness", "consistent")
-VERIFICATION_COLUMNS = ("graph_id", "n", "m", "Delta", "delta", "alpha",
-                        "lambda1", "f", "g", "f_holds", "g_holds",
-                        "g_equality", "is_star", "is_connected")
-# Each report kind's column names and record type.
-_KINDS = {"sweep": (SWEEP_COLUMNS, SweepRecord),
-          "verification": (VERIFICATION_COLUMNS, VerificationRecord)}
 _BLOCK_ROWS = 4096  # report rows formatted, written or re-read at a time
 
 
@@ -518,13 +509,23 @@ _ORDERING = _Cell(np.int8, (str,), members=ORDERINGS,
 _WITNESS = _Cell(np.int8, (str,), members=WITNESSES,
                  names=tuple(w.value for w in WITNESSES))
 
-# The cell of every report column; the two kinds share the names they share.
-_CELLS = {"delta": _INT, "Delta": _INT, "alpha": _REAL, "f": _REAL,
-          "g": _REAL, "diff": _REAL, "symbolic": _ORDERING,
-          "numeric": _ORDERING, "witness": _WITNESS, "consistent": _BOOL,
-          "graph_id": _TEXT, "n": _INT, "m": _INT, "lambda1": _REAL,
-          "f_holds": _BOOL, "g_holds": _BOOL, "g_equality": _BOOL,
-          "is_star": _BOOL, "is_connected": _BOOL}
+_RENAMES = {"f_value": "f", "g_value": "g", "difference": "diff",
+            "symbolic_ordering": "symbolic", "numeric_ordering": "numeric",
+            "edge_count": "m"}
+_TYPE_CELLS = {int: _INT, float: _REAL, str: _TEXT, bool: _BOOL,
+               Ordering: _ORDERING, Witness: _WITNESS}
+
+
+def _schema(record) -> dict:
+    """The cell of each report column of a record type, in field order."""
+    return {_RENAMES.get(f, f): _TYPE_CELLS[t]
+            for f, t in record.__annotations__.items()}
+
+
+_KINDS = {kind: (tuple(_schema(rec)), rec) for kind, rec in
+          (("sweep", SweepRecord), ("verification", VerificationRecord))}
+SWEEP_COLUMNS, VERIFICATION_COLUMNS = (names for names, _ in _KINDS.values())
+_CELLS = _schema(SweepRecord) | _schema(VerificationRecord)
 
 
 def _encode(values, cell: _Cell, keys: tuple) -> np.ndarray:
@@ -573,6 +574,13 @@ def _report_columns(records, format: str, kind: str | None) -> dict:
     return table.columns
 
 
+def _json_text(value) -> str:
+    """json.dumps(value) for a str, int or float, via the encoders it calls."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
 def _report_blocks(columns: dict, format: str):
     """The report text of a table's column arrays, _BLOCK_ROWS rows at a
     time: the head, one block of rows per step, then the tail. A block's
@@ -581,7 +589,7 @@ def _report_blocks(columns: dict, format: str):
     total = len(columns[names[0]])
     if format == "json":
         # json.dumps(rows, indent=1), written a column at a time.
-        cells = [(json.dumps, tuple(map(json.dumps, _CELLS[name].json_values)))
+        cells = [(_json_text, tuple(map(json.dumps, _CELLS[name].json_values)))
                  for name in names]
         row = (" {\n" + ",\n".join(f"  {json.dumps(name)}: %s"
                                     for name in names) + "\n }").__mod__
@@ -676,7 +684,7 @@ def _malformed(path, header, reason, read=()) -> InputError:
     block, stop = [], None
     with open(path, encoding="utf-8", newline="\n") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(row for row in reader if tuple(row) == header)
         try:
             for row in reader:
                 if not row:
@@ -707,12 +715,11 @@ def _head(fh) -> str:
 
 
 def _csv_columns(head: str, fh, path) -> dict:
-    """The columns of a CSV report whose first lines, head, have been read
-    from fh: np.loadtxt reads the rest of fh line by line, and the
-    cells are decoded cell kind by cell kind. An empty file is an empty
-    verification report."""
-    header = tuple(next(csv.reader([head.partition("\n")[0]] if head else []),
-                        VERIFICATION_COLUMNS))
+    """The columns of a CSV report whose lines up to its header, head, have
+    been read from fh: np.loadtxt reads the rest line by line, and each cell
+    kind is decoded at once. An empty file is an empty verification report."""
+    header = tuple(next(csv.reader([head.rstrip("\n").rpartition("\n")[2]]
+                                   if head else []), VERIFICATION_COLUMNS))
     if header not in (SWEEP_COLUMNS, VERIFICATION_COLUMNS):
         raise InputError(f"unrecognized report header {header!r}")
     dtype = [(name, _CELLS[name].field) for name in header]

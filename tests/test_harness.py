@@ -9,6 +9,7 @@ import math
 import tracemalloc
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -626,7 +627,10 @@ def _assert_report_text(tmp_path, records, fmt, expected):
 def _hand_sweep(sweep):
     return [SweepRecord(2, 3, 1 / 3, math.sqrt(2), math.pi / 3, -0.0,
                         Ordering.GREATER, Ordering.EQUAL,
-                        Witness.INTERIOR_GREATER, False)] + list(sweep)[:5]
+                        Witness.INTERIOR_GREATER, False),
+            SweepRecord(1, 2, 0.5, math.nan, math.inf, -math.inf,
+                        Ordering.LESS, Ordering.LESS, Witness.DELTA_MIN_ONE,
+                        True)] + list(sweep)[:5]
 
 
 def _hand_verification(graph_ids):
@@ -672,6 +676,58 @@ def test_json_report_bytes_match_json_dumps(tmp_path, monkeypatch, block_rows):
                                 "grafo_é,\"x"])
     _assert_report_text(tmp_path, verif, "json",
                         _json_reference(verif, VERIFICATION_COLUMNS))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_reals_round_trip_bit_for_bit(tmp_path, fmt):
+    """NaN, both infinities and -0.0 read back with the bits they were
+    written with; ReportTable equality cannot show this, as NaN != NaN."""
+    records = _hand_sweep(sweep_grid(1, 1, 1))
+    path = tmp_path / f"r.{fmt}"
+    emit_report(records, fmt, path)
+    back = parse_report(path).columns
+    table = ReportTable.from_records(records, "sweep")
+    for name, column in table.columns.items():
+        if column.dtype == np.float64:
+            assert np.array_equal(back[name].view(np.int64),
+                                  column.view(np.int64)), name
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parse_report_after_leading_blank_lines(tmp_path, fmt):
+    """A CSV header or a JSON list that follows blank lines is found there."""
+    records = verify_graph(gen_star(3), [0.5])
+    path = tmp_path / f"r.{fmt}"
+    path.write_text("\n\n" + render_report(records, fmt))
+    assert parse_report(path) == records
+
+
+def test_report_schema_is_read_off_the_record_types():
+    """Each kind's columns are its record's fields, renamed where the report
+    name is shorter, and each column's cell follows its field's annotation;
+    so one more annotated field is one more column."""
+    assert SWEEP_COLUMNS == ("delta", "Delta", "alpha", "f", "g", "diff",
+                             "symbolic", "numeric", "witness", "consistent")
+    assert VERIFICATION_COLUMNS == (
+        "graph_id", "n", "m", "Delta", "delta", "alpha", "lambda1", "f", "g",
+        "f_holds", "g_holds", "g_equality", "is_star", "is_connected")
+    h = harness_mod
+    cells = {"delta": h._INT, "Delta": h._INT, "alpha": h._REAL,
+             "f": h._REAL, "g": h._REAL, "diff": h._REAL,
+             "symbolic": h._ORDERING, "numeric": h._ORDERING,
+             "witness": h._WITNESS, "consistent": h._BOOL,
+             "graph_id": h._TEXT, "n": h._INT, "m": h._INT,
+             "lambda1": h._REAL, "f_holds": h._BOOL, "g_holds": h._BOOL,
+             "g_equality": h._BOOL, "is_star": h._BOOL,
+             "is_connected": h._BOOL}
+    assert h._CELLS.keys() == cells.keys()
+    assert all(h._CELLS[name] is cell for name, cell in cells.items())
+    extended = NamedTuple("Extended", [
+        *VerificationRecord.__annotations__.items(), ("residual", float)])
+    schema = h._schema(extended)
+    assert tuple(schema) == VERIFICATION_COLUMNS + ("residual",)
+    assert schema["residual"] is h._REAL
+    assert all(schema[name] is h._CELLS[name] for name in VERIFICATION_COLUMNS)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -840,6 +896,15 @@ def test_parse_report_huge_integer_names_line(tmp_path):
     lines[2] = lines[2].replace(",4,4,", ",99999999999999999999,4,", 1)
     with pytest.raises(InputError, match="line 3: bad n cell '9999"):
         parse_report(_write(tmp_path, lines))
+
+
+def test_parse_report_after_blank_lines_names_bad_line(tmp_path):
+    """Line numbers count the blank lines before the header, and the header
+    is not read as a row."""
+    lines = render_report(sweep_grid(1, 1, 2), "csv").splitlines()
+    lines[2] = "x" + lines[2][1:]
+    with pytest.raises(InputError, match="^line 5: bad delta cell 'x'$"):
+        parse_report(_write(tmp_path, ["", " ", *lines]))
 
 
 def test_parse_report_header_only(tmp_path):
