@@ -235,14 +235,23 @@ def gen_cycle(n: int) -> Graph:
 
 
 def gen_circulant(n: int, offsets) -> Graph:
-    """Circulant graph: i ~ (i + o) mod n for each offset o in [1, n/2]."""
+    """Circulant graph: i ~ (i + o) mod n for each offset o in [1, n/2].
+
+    The edge array is built sorted, with no sort: vertex u's larger
+    neighbours are u + s for each step s in {o} | {n - o} with u + s < n,
+    so taking the steps in ascending order for u = 0, 1, ... lists the
+    pairs in lexicographic order. A repeated offset is one step, and so is
+    o = n/2, whose two steps coincide."""
     n = check_int("n", n)
     offs = [check_int("offset", o, 1) for o in check_seq("offsets", offsets)]
     if not offs or 2 * max(offs) > n:
         raise InputError(f"a circulant needs offsets in [1, n/2], got n = {n}, "
                          f"offsets {offs}")
-    i = np.tile(np.arange(n), len(offs))
-    return from_edge_list(n, np.column_stack((i, (i + np.repeat(offs, n)) % n)))
+    steps = np.array(sorted({s for o in offs for s in (o, n - o)}))
+    u, j = np.nonzero(np.arange(n)[:, None] + steps < n)
+    pairs = np.column_stack((u, u + steps[j]))
+    del u, j  # not held through Graph's check, the peak of the two
+    return Graph(n, pairs)
 
 
 def gen_random(n: int, p: float, seed: int) -> Graph:

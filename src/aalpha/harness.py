@@ -25,16 +25,16 @@ first bad CSV line, or its first bad JSON record (the line and column of
 text that is not JSON); so does a file that is not UTF-8.
 
 emit_report never holds a report as one text: it formats and writes
-_BLOCK_ROWS rows at a time. parse_report hands an open CSV file to
+_BLOCK_ROWS rows at a time, a CSV block as one byte matrix made by the
+kernels of aalpha.csvtext. parse_report hands an open CSV file to
 np.loadtxt, which reads it line by line; a JSON report is read as one text.
 Only a CSV report that fails is read again, by csv.reader, to name its bad
 line: _BLOCK_ROWS rows at a time, each column converted at once.
 On the 24.7 MB CSV report of sweep_grid(60, 60, 100), tracemalloc peaks at
-2.5 MB in emit_report and 36.5 MB in parse_report.
+3.8 MB in emit_report and 36.5 MB in parse_report.
 """
 
 import csv
-import io
 import itertools
 import json
 import math
@@ -47,6 +47,7 @@ from .alpha_matrix import _assemble, build_alpha_matrix
 from .bounds import (ORDERINGS, WITNESSES, Ordering, Witness, _classify_codes,
                      _f_kernel, _g_kernel, _numeric_code, check_alpha,
                      check_int, check_seq)
+from .csvtext import coded_cells, csv_rows, int_cells, real_cells, text_cells
 from .errors import ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, emit_graph6, from_edge_list,
                      gen_complete, gen_cycle, gen_random, gen_star,
@@ -459,15 +460,6 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
 _BLOCK_ROWS = 4096  # report rows formatted, written or re-read at a time
 
 
-def _csv_quote(text: str) -> str:
-    # csv.writer's own quoting of one field. A field holding a character of
-    # the line terminator is quoted, so "\r\n" quotes both; the empty second
-    # field keeps a lone empty value from being written as "".
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow((text, ""))
-    return buf.getvalue()[:-3]
-
-
 class _Cell(NamedTuple):
     """How one report column is held, written and read.
 
@@ -475,12 +467,13 @@ class _Cell(NamedTuple):
     values may have. A coded column holds, for each entry, the position of
     its record value in ``members``; at that position ``names`` has its CSV
     text and ``json_values`` its JSON value. Any other column holds record
-    values as they are and writes each in CSV with ``text``.
+    values as they are, and ``cells`` is the aalpha.csvtext kernel that
+    writes a block of them as CSV.
     """
 
     dtype: object
     json_types: tuple[type, ...]
-    text: Callable | None = None
+    cells: Callable | None = None
     members: tuple = ()
     names: tuple[str, ...] = ()
 
@@ -498,10 +491,16 @@ class _Cell(NamedTuple):
             return f"S{max(map(len, self.names)) + 1}"
         return self.dtype
 
+    def csv_cells(self, column: np.ndarray):
+        """The CSV cells of a block of the column (see aalpha.csvtext)."""
+        if self.names:
+            return coded_cells(column, self.names)
+        return self.cells(column)
 
-_INT = _Cell(np.int64, (int,), str)
-_REAL = _Cell(np.float64, (float, int), "%.17g".__mod__)
-_TEXT = _Cell(object, (str,), _csv_quote)
+
+_INT = _Cell(np.int64, (int,), int_cells)
+_REAL = _Cell(np.float64, (float, int), real_cells)
+_TEXT = _Cell(object, (str,), text_cells)
 _BOOL = _Cell(np.bool_, (bool,), members=(False, True),
               names=("false", "true"))
 _ORDERING = _Cell(np.int8, (str,), members=ORDERINGS,
@@ -545,10 +544,10 @@ def _values(column: np.ndarray, keys: tuple) -> list:
     return np.array(keys, dtype=object)[column.astype(np.intp)].tolist()
 
 
-def _texts(column: np.ndarray, text: Callable, names: tuple) -> list[str]:
-    """The text of each entry of a column: a coded column's is picked from
-    names, any other's is text(value), with every distinct value formatted
-    once."""
+def _json_texts(column: np.ndarray, names: tuple) -> list[str]:
+    """The JSON text of each entry of a column: a coded column's is picked
+    from names, any other's is _json_text(value), with every distinct value
+    formatted once."""
     if names:
         return _values(column, names)
     # Reals are told apart by their bits, so -0.0 keeps its own text.
@@ -557,7 +556,7 @@ def _texts(column: np.ndarray, text: Callable, names: tuple) -> list[str]:
                                   return_inverse=True)
     if real:
         distinct = distinct.view(np.float64)
-    texts = np.array([text(v) for v in distinct.tolist()], dtype=object)
+    texts = np.array(list(map(_json_text, distinct.tolist())), dtype=object)
     return texts[inverse].tolist()
 
 
@@ -583,26 +582,29 @@ def _json_text(value) -> str:
 
 def _report_blocks(columns: dict, format: str):
     """The report text of a table's column arrays, _BLOCK_ROWS rows at a
-    time: the head, one block of rows per step, then the tail. A block's
+    time: the head, one block of rows per step, then the tail. A CSV block
+    is one byte matrix that the aalpha.csvtext kernels fill a column at a
+    time; from 128 rows up, with a Python call only for a graph_id and for
+    the few reals and ints they leave to "%.17g" and str. A JSON block's
     cells are formatted a column at a time, each distinct value once."""
     names = tuple(columns)
     total = len(columns[names[0]])
-    if format == "json":
-        # json.dumps(rows, indent=1), written a column at a time.
-        cells = [(_json_text, tuple(map(json.dumps, _CELLS[name].json_values)))
-                 for name in names]
-        row = (" {\n" + ",\n".join(f"  {json.dumps(name)}: %s"
-                                    for name in names) + "\n }").__mod__
-        head, sep, tail = "[", ",\n", "\n]\n" if total else "]\n"
-    else:
-        cells = [(_CELLS[name].text, _CELLS[name].names) for name in names]
-        row, head, sep, tail = ",".join, ",".join(names), "\n", "\n"
-    yield head
+    if format == "csv":
+        yield ",".join(names) + "\n"
+        for start in range(0, total, _BLOCK_ROWS):
+            yield csv_rows([_CELLS[name].csv_cells(
+                columns[name][start:start + _BLOCK_ROWS]) for name in names])
+        return
+    # json.dumps(rows, indent=1), written a column at a time.
+    keys = [tuple(map(json.dumps, _CELLS[name].json_values)) for name in names]
+    row = (" {\n" + ",\n".join(f"  {json.dumps(name)}: %s"
+                                for name in names) + "\n }").__mod__
+    yield "["
     for start in range(0, total, _BLOCK_ROWS):
-        block = [_texts(columns[name][start:start + _BLOCK_ROWS], text, keys)
-                 for name, (text, keys) in zip(names, cells)]
-        yield (sep if start else "\n") + sep.join(map(row, zip(*block)))
-    yield tail
+        block = [_json_texts(columns[name][start:start + _BLOCK_ROWS], k)
+                 for name, k in zip(names, keys)]
+        yield (",\n" if start else "\n") + ",\n".join(map(row, zip(*block)))
+    yield "\n]\n" if total else "]\n"
 
 
 def render_report(records, format: str = "csv", kind: str | None = None) -> str:

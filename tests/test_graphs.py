@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import aalpha.graphs as graphs_mod
 from aalpha import (GRAPH6_MAX_N, Graph, InputError, ParseError,
                     UnsupportedSizeError, VerificationRecord, add_isolated,
                     degree_profile, emit_graph6, from_edge_list, gen_circulant,
@@ -232,6 +233,29 @@ def test_circulant():
         gen_circulant(5, [3])  # 2*3 > 5
     with pytest.raises(InputError):
         gen_circulant(5, [0])
+
+
+@pytest.mark.parametrize("n, offsets", [
+    (3, [1]), (3, [1, 1]), (4, [2]), (4, [2, 1, 2]), (5, [2, 1]),
+    (8, [4]), (8, [3, 1, 4, 3]), (8, [1, 2, 3, 4]), (400, [1]),
+    (400, [200, 7, 199, 7, 1]),
+])
+def test_circulant_builds_the_sorted_edge_array(n, offsets, monkeypatch):
+    """gen_circulant hands Graph its pairs u < v in lexicographic order, so
+    Graph sorts nothing, and they are the pairs from_edge_list makes of
+    every i ~ (i + o) mod n, where an offset n/2 gives each pair twice."""
+    def ordered_graph(n, edges):
+        u, v = edges.T
+        assert np.all(u < v)
+        assert np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1])))
+        return Graph(n, edges)
+
+    pairs = [(i, (i + o) % n) for o in offsets for i in range(n)]
+    want = from_edge_list(n, pairs)
+    monkeypatch.setattr(graphs_mod, "Graph", ordered_graph)
+    got = gen_circulant(n, offsets)
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_gen_random_deterministic():

@@ -442,7 +442,8 @@ def _traced_peak(fn):
 
 def test_emit_report_memory_is_bounded(tmp_path):
     """emit_report writes a block of rows at a time, so its peak stays below
-    the report's size: about 0.4 times on a 6.1 MB sweep report."""
+    the report's size: about 0.6 times on a 6.1 MB sweep report, most of
+    it a CSV block's byte matrix and keep-mask and the block's text."""
     table, path = sweep_grid(30, 30, 100), tmp_path / "sweep.csv"
     _, peak = _traced_peak(lambda: emit_report(table, "csv", path))
     size = path.stat().st_size
@@ -645,7 +646,10 @@ def _hand_verification(graph_ids):
 def test_csv_report_bytes_match_csv_writer(tmp_path, monkeypatch, block_rows):
     monkeypatch.setattr(harness_mod, "_BLOCK_ROWS", block_rows)
     sweep = sweep_grid(2, 4, 7)
-    for records in (sweep, list(sweep), _hand_sweep(sweep)):
+    # sweep_grid(3, 6, 20) has 462 rows, enough that the default block's
+    # columns go through the vectorized kernels.
+    for records in (sweep, list(sweep), _hand_sweep(sweep),
+                    sweep_grid(3, 6, 20)):
         _assert_report_text(tmp_path, records, "csv",
                             _csv_writer_reference(records, SWEEP_COLUMNS))
     # csv.writer with a "\n" terminator leaves a lone "\r" unquoted, and the
@@ -655,6 +659,30 @@ def test_csv_report_bytes_match_csv_writer(tmp_path, monkeypatch, block_rows):
                                 "a\r\nb", "grafo_é,\"x"])
     _assert_report_text(tmp_path, verif, "csv",
                         _csv_writer_reference(verif, VERIFICATION_COLUMNS))
+    # Counts the digit table does not cover are written by str.
+    big = _hand_verification([]) + _huge_counts()
+    _assert_report_text(tmp_path, big, "csv",
+                        _csv_writer_reference(big, VERIFICATION_COLUMNS))
+
+
+def _huge_counts():
+    """Verification records whose n and m lie outside [0, 10**16)."""
+    record = verify_graph(gen_cycle(4), [0.5], graph_id="huge")[0]
+    return [record._replace(n=n, edge_count=m) for n, m in
+            [(10 ** 16 - 1, 10 ** 16), (2 ** 63 - 1, -1), (5, -(2 ** 63))]]
+
+
+@BLOCK_ROWS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_graph_id_with_nul_round_trips(tmp_path, monkeypatch,
+                                              block_rows, fmt):
+    """A CSV block is cut out of a byte matrix by the length of each field,
+    not by byte value, so a NUL in a graph_id is written and read back."""
+    monkeypatch.setattr(harness_mod, "_BLOCK_ROWS", block_rows)
+    records = _hand_verification(["\x00", "a\x00b"]) + _huge_counts()
+    path = tmp_path / f"r.{fmt}"
+    emit_report(records, fmt, path)
+    assert parse_report(path) == records
 
 
 def _json_reference(records, columns):
