@@ -1,13 +1,14 @@
-"""CSV text of numpy columns, a block of rows at a time, with no Python call
-per cell on the common path. A column shorter than _VECTOR_ROWS is
-formatted a value at a time, as "%.17g" and str write it.
+"""Report text of numpy columns, CSV or JSON, a block of rows at a time,
+with no Python call per cell on the common path. A column shorter than
+_VECTOR_ROWS is formatted a value at a time, as "%.17g" and str write it.
 
 Each column of a block becomes cells: a (rows, width) uint8 byte matrix and
 a (rows, width) bool keep-mask that marks the bytes of each row's text. A
-block is the fields side by side with a ',' column after each (the last
-one a '\n'), and its text is the kept bytes in row-major order. The mask
-comes from where each text lies, never from the byte values, so a text may
-hold any byte, NUL included.
+block is the fields side by side between separators (CSV's commas, JSON's
+keys), and its text is the kept bytes in row-major order. The mask comes
+from where each text lies, never from the byte values, so a text may hold
+any byte, NUL included. Text that no kernel writes (a quoted graph_id, a
+JSON real) is made once per distinct value of the block.
 
 Reals are written exactly as CPython's "%.17g" writes them, correctly
 rounded to 17 significant digits with ties to even. For a finite value v
@@ -230,22 +231,33 @@ def coded_cells(codes: np.ndarray, names: tuple[str, ...]):
     return tuple(a.take(codes, axis=0) for a in _name_cells(names))
 
 
-def text_cells(values: np.ndarray):
-    """Cells of a column of str: each csv_quote(value), UTF-8 encoded."""
-    return _pack([csv_quote(s).encode("utf-8") for s in values.tolist()])
+def distinct_cells(values: np.ndarray, text):
+    """Cells of a column, each text(value) UTF-8 encoded, with text called
+    once per distinct value. Reals are told apart by their bits, so -0.0
+    keeps its own text."""
+    real = values.dtype == np.float64
+    distinct, inverse = np.unique(values.view(np.int64) if real else values,
+                                  return_inverse=True)
+    if real:
+        distinct = distinct.view(np.float64)
+    cells = _pack([text(v).encode("utf-8") for v in distinct.tolist()])
+    return tuple(a.take(inverse, axis=0) for a in cells)
 
 
-def csv_rows(fields) -> str:
-    """The CSV lines of a block from the cells of each column: the kept
-    bytes of each row, ',' between fields and '\\n' after the last."""
+def rows(fields, seps) -> str:
+    """The text of a block from each column's cells: on each row, the kept
+    bytes of the fields with seps, one byte string more, before, between and
+    after them. A row starts as the separators, with NUL gaps the cells fill."""
     n = len(fields[0][0])
-    width = sum(cells.shape[1] + 1 for cells, _ in fields)
-    text = np.empty((n, width), np.uint8)
-    keep = np.ones((n, width), bool)
-    at = 0
-    for cells, kept in fields:
-        end = at + cells.shape[1]
-        text[:, at:end], keep[:, at:end], text[:, end] = cells, kept, ord(",")
-        at = end + 1
-    text[:, -1] = ord("\n")
-    return text.reshape(-1)[keep.reshape(-1)].tobytes().decode("utf-8")
+    widths = [cells.shape[1] for cells, _ in fields]
+    line = b"".join(sep + bytes(w) for sep, w in zip(seps, widths + [0]))
+    text = np.empty((n, len(line)), np.uint8)
+    text[:] = np.frombuffer(line, np.uint8)
+    keep = np.ones(text.shape, bool)
+    at = len(seps[0])
+    for (cells, kept), width, sep in zip(fields, widths, seps[1:]):
+        text[:, at:at + width], keep[:, at:at + width] = cells, kept
+        at += width + len(sep)
+    data = text.reshape(-1)[keep.reshape(-1)]
+    del text, keep  # freed first: str() decodes data in place, uncopied
+    return str(data, "utf-8")

@@ -26,8 +26,13 @@ def _int_type(t) -> bool:
 
 def _int_pairs(edges) -> np.ndarray:
     """edges as a fresh (m, 2) int64 array; an endpoint that is not an
-    integer (a bool is not) raises InputError naming the first such edge."""
-    if not isinstance(edges, np.ndarray) or edges.dtype.kind not in "iu":
+    integer (a bool is not) raises InputError naming the first such edge,
+    and one outside int64 naming the first such value."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind == "u":
+        big = edges[edges > np.iinfo(np.int64).max]
+        if len(big):
+            raise InputError(f"edge endpoint {big[0]} is outside int64")
+    elif not isinstance(edges, np.ndarray) or edges.dtype.kind != "i":
         edges = edges.tolist() if isinstance(edges, np.ndarray) else list(edges)
         types = set(map(type, itertools.chain.from_iterable(edges)))
         if not all(map(_int_type, types)):
@@ -178,14 +183,17 @@ def emit_graph6(g: Graph) -> str:
 
 def _bad_line(lines, reason) -> ParseError:
     """A ParseError naming the first line of an edge list that is not two
-    integers. This rescans the lines one by one, so it runs only after the
-    column-wise parse has failed."""
+    int64 integers. This rescans the lines one by one, so it runs only after
+    the column-wise parse has failed."""
     for k, line in enumerate(lines, 1):
         row = line.split("#", 1)[0].strip()
         tokens = row.split()
         if tokens and (len(tokens) != 2
                        or not all(map(_INT_TOKEN.fullmatch, tokens))):
             return ParseError(f"line {k}: expected two integers, got {row!r}")
+        for t in tokens:
+            if not -2 ** 63 <= int(t) < 2 ** 63:
+                return ParseError(f"line {k}: {t} is outside int64")
     return ParseError(f"malformed edge list: {reason}")
 
 

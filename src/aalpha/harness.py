@@ -25,8 +25,8 @@ first bad CSV line, or its first bad JSON record (the line and column of
 text that is not JSON); so does a file that is not UTF-8.
 
 emit_report never holds a report as one text: it formats and writes
-_BLOCK_ROWS rows at a time, a CSV block as one byte matrix made by the
-kernels of aalpha.csvtext. parse_report hands an open CSV file to
+_BLOCK_ROWS rows at a time, in either format as one byte matrix made by
+the kernels of aalpha.csvtext. parse_report hands an open CSV file to
 np.loadtxt, which reads it line by line; a JSON report is read as one text.
 Only a CSV report that fails is read again, by csv.reader, to name its bad
 line: _BLOCK_ROWS rows at a time, each column converted at once.
@@ -39,6 +39,7 @@ import itertools
 import json
 import math
 import operator
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,7 +48,8 @@ from .alpha_matrix import _assemble, build_alpha_matrix
 from .bounds import (ORDERINGS, WITNESSES, Ordering, Witness, _classify_codes,
                      _f_kernel, _g_kernel, _numeric_code, check_alpha,
                      check_int, check_seq)
-from .csvtext import coded_cells, csv_rows, int_cells, real_cells, text_cells
+from .csvtext import (coded_cells, csv_quote, distinct_cells, int_cells,
+                      real_cells, rows)
 from .errors import ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, emit_graph6, from_edge_list,
                      gen_complete, gen_cycle, gen_random, gen_star,
@@ -464,23 +466,20 @@ class _Cell(NamedTuple):
     """How one report column is held, written and read.
 
     ``dtype`` is the in-memory dtype and ``json_types`` the types its JSON
-    values may have. A coded column holds, for each entry, the position of
-    its record value in ``members``; at that position ``names`` has its CSV
-    text and ``json_values`` its JSON value. Any other column holds record
-    values as they are, and ``cells`` is the aalpha.csvtext kernel that
-    writes a block of them as CSV.
+    values may have. ``csv`` and ``json`` write a block of the column as
+    cells of that format's text (see aalpha.csvtext). A coded column holds,
+    for each entry, the position of its record value in ``members``; at
+    that position ``names`` has its CSV text and ``json_values`` its JSON
+    value. Any other column holds record values as they are.
     """
 
     dtype: object
     json_types: tuple[type, ...]
-    cells: Callable | None = None
+    csv: Callable
+    json: Callable
     members: tuple = ()
     names: tuple[str, ...] = ()
-
-    @property
-    def json_values(self) -> tuple:
-        """An enum member is written as its value, a bool as itself."""
-        return tuple(getattr(m, "value", m) for m in self.members)
+    json_values: tuple = ()
 
     @property
     def field(self):
@@ -491,22 +490,30 @@ class _Cell(NamedTuple):
             return f"S{max(map(len, self.names)) + 1}"
         return self.dtype
 
-    def csv_cells(self, column: np.ndarray):
-        """The CSV cells of a block of the column (see aalpha.csvtext)."""
-        if self.names:
-            return coded_cells(column, self.names)
-        return self.cells(column)
+
+def _json_text(value) -> str:
+    """json.dumps(value) for a str, int or float, via the encoders it calls."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
-_INT = _Cell(np.int64, (int,), int_cells)
-_REAL = _Cell(np.float64, (float, int), real_cells)
-_TEXT = _Cell(object, (str,), text_cells)
-_BOOL = _Cell(np.bool_, (bool,), members=(False, True),
-              names=("false", "true"))
-_ORDERING = _Cell(np.int8, (str,), members=ORDERINGS,
-                  names=tuple(o.value for o in ORDERINGS))
-_WITNESS = _Cell(np.int8, (str,), members=WITNESSES,
-                 names=tuple(w.value for w in WITNESSES))
+def _coded(members, names=(), dtype=np.int8, json_types=(str,)) -> _Cell:
+    """The cell of a coded column. An enum member's JSON value is its value,
+    and a bool's is itself; names default to the JSON values."""
+    values = tuple(getattr(m, "value", m) for m in members)
+    names = names or values
+    return _Cell(dtype, json_types, partial(coded_cells, names=names),
+                 partial(coded_cells, names=tuple(map(json.dumps, values))),
+                 members, names, values)
+
+
+_JSON = partial(distinct_cells, text=_json_text)
+_INT = _Cell(np.int64, (int,), int_cells, int_cells)
+_REAL = _Cell(np.float64, (float, int), real_cells, _JSON)
+_TEXT = _Cell(object, (str,), partial(distinct_cells, text=csv_quote), _JSON)
+_BOOL = _coded((False, True), ("false", "true"), np.bool_, (bool,))
+_ORDERING, _WITNESS = _coded(ORDERINGS), _coded(WITNESSES)
 
 _RENAMES = {"f_value": "f", "g_value": "g", "difference": "diff",
             "symbolic_ordering": "symbolic", "numeric_ordering": "numeric",
@@ -544,67 +551,50 @@ def _values(column: np.ndarray, keys: tuple) -> list:
     return np.array(keys, dtype=object)[column.astype(np.intp)].tolist()
 
 
-def _json_texts(column: np.ndarray, names: tuple) -> list[str]:
-    """The JSON text of each entry of a column: a coded column's is picked
-    from names, any other's is _json_text(value), with every distinct value
-    formatted once."""
-    if names:
-        return _values(column, names)
-    # Reals are told apart by their bits, so -0.0 keeps its own text.
-    real = column.dtype == np.float64
-    distinct, inverse = np.unique(column.view(np.int64) if real else column,
-                                  return_inverse=True)
-    if real:
-        distinct = distinct.view(np.float64)
-    texts = np.array(list(map(_json_text, distinct.tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
 def _report_columns(records, format: str, kind: str | None) -> dict:
-    """The column arrays of records, after the checks on kind, format and
-    record width that come before any text is written; kind
-    ('sweep'/'verification') is inferred from the first record when
-    present."""
+    """The column arrays of records, after the checks on kind, format,
+    record width and, for CSV, the UTF-8 text of each graph_id, that come
+    before any text is written; kind ('sweep'/'verification') is inferred
+    from the first record when present."""
     if kind is None and records:
         kind = "sweep" if isinstance(records[0], SweepRecord) else "verification"
     table = ReportTable.from_records(records, kind)
     if format not in ("csv", "json"):
         raise InputError(f"unknown report format {format!r}, expected csv or json")
+    if format == "csv" and table.kind == "verification":
+        # JSON escapes a lone surrogate; CSV is UTF-8, which has no code for it.
+        for gid in dict.fromkeys(table.columns["graph_id"].tolist()):
+            try:
+                gid.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise InputError(f"graph_id {gid!r} cannot be written as "
+                                 f"UTF-8: {exc.reason}") from None
     return table.columns
-
-
-def _json_text(value) -> str:
-    """json.dumps(value) for a str, int or float, via the encoders it calls."""
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _report_blocks(columns: dict, format: str):
     """The report text of a table's column arrays, _BLOCK_ROWS rows at a
-    time: the head, one block of rows per step, then the tail. A CSV block
-    is one byte matrix that the aalpha.csvtext kernels fill a column at a
-    time; from 128 rows up, with a Python call only for a graph_id and for
-    the few reals and ints they leave to "%.17g" and str. A JSON block's
-    cells are formatted a column at a time, each distinct value once."""
+    time: the format's head, a block of rows per step, then its tail. A
+    block is one byte matrix, the cells of each column's writer for the
+    format between the format's separators (aalpha.csvtext.rows). JSON is
+    json.dumps of the list of row objects at indent=1, and its first row
+    drops the ',' that leads every other."""
     names = tuple(columns)
     total = len(columns[names[0]])
     if format == "csv":
-        yield ",".join(names) + "\n"
-        for start in range(0, total, _BLOCK_ROWS):
-            yield csv_rows([_CELLS[name].csv_cells(
-                columns[name][start:start + _BLOCK_ROWS]) for name in names])
-        return
-    # json.dumps(rows, indent=1), written a column at a time.
-    keys = [tuple(map(json.dumps, _CELLS[name].json_values)) for name in names]
-    row = (" {\n" + ",\n".join(f"  {json.dumps(name)}: %s"
-                                for name in names) + "\n }").__mod__
-    yield "["
+        head, tail = ",".join(names) + "\n", ""
+        seps = ["", *[","] * (len(names) - 1), "\n"]
+    else:
+        head, tail = "[", "\n]\n" if total else "]\n"
+        keys = [f"\n  {json.dumps(name)}: " for name in names]
+        seps = [",\n {" + keys[0], *["," + key for key in keys[1:]], "\n }"]
+    seps = [sep.encode() for sep in seps]
+    yield head
     for start in range(0, total, _BLOCK_ROWS):
-        block = [_json_texts(columns[name][start:start + _BLOCK_ROWS], k)
-                 for name, k in zip(names, keys)]
-        yield (",\n" if start else "\n") + ",\n".join(map(row, zip(*block)))
-    yield "\n]\n" if total else "]\n"
+        block = rows([getattr(_CELLS[name], format)(
+            columns[name][start:start + _BLOCK_ROWS]) for name in names], seps)
+        yield block[1:] if format == "json" and not start else block
+    yield tail
 
 
 def render_report(records, format: str = "csv", kind: str | None = None) -> str:

@@ -1,6 +1,7 @@
 """CLI behavior: output shapes, exit codes, the alpha domain."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -322,7 +323,8 @@ def test_non_ascii_input_exits_two(capsys, tmp_path, flag, data):
     (("spectral", "--graph6", "{path}", "--alpha", "0.5"), "\n \n",
      "no graph6 line found in {path}"),
     (("spectral", "--edgelist", "{path}", "--alpha", "0.5"),
-     "3 1\n0 99999999999999999999999\n", "malformed edge list: "),
+     "3 1\n0 99999999999999999999999\n",
+     "line 2: 99999999999999999999999 is outside int64"),
     (("verify", "--gen", "star:4", "--alphas", ",", "--out", "{path}.csv"),
      "", "--alphas is empty"),
 ], ids=["empty-graph6", "huge-endpoint", "empty-alphas"])
@@ -344,6 +346,20 @@ def test_report_of_a_non_ascii_path(capsys, tmp_path):
                    "0.5", "--out", str(out))
     assert rc == 0
     assert [r.graph_id for r in parse_report(out)] == [f"edgelist:{path}"]
+
+
+def test_report_of_a_path_utf8_cannot_encode(capsys, tmp_path):
+    """A path byte that is not UTF-8 reaches the graph_id as a lone
+    surrogate, which a CSV report cannot hold: exit 2, and no file."""
+    path = tmp_path / os.fsdecode(b"\xff.edges")
+    path.write_text("3 2\n0 1\n1 2\n")
+    out = tmp_path / "o.csv"
+    rc, _, err = run(capsys, "verify", "--edgelist", str(path), "--alphas",
+                     "0.5", "--out", str(out))
+    assert rc == 2
+    assert err == (f"error: graph_id {'edgelist:' + str(path)!r} cannot be "
+                   "written as UTF-8: surrogates not allowed\n")
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_two(capsys, tmp_path):

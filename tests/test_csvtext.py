@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from aalpha.csvtext import (_VECTOR_ROWS, coded_cells, csv_rows, int_cells,
-                            real_cells)
+from aalpha.csvtext import (_VECTOR_ROWS, coded_cells, int_cells, real_cells,
+                            rows)
+
+_LINES = [b"", b"\n"]  # CSV separators of a one-column block
 
 
 def _assert_lines(cells, values, text):
@@ -15,7 +17,7 @@ def _assert_lines(cells, values, text):
     values; a mismatch names the first value that differs. A column of
     fewer than _VECTOR_ROWS values is formatted one value at a time, so
     each column below but the empty one is longer."""
-    got = csv_rows([cells(values)])
+    got = rows([cells(values)], _LINES)
     want = "".join(text(v) + "\n" for v in values.tolist())
     if got != want:
         for v, line in zip(values.tolist(), got.splitlines()):
@@ -85,8 +87,10 @@ def test_int_cells_keep_their_width_with_and_without_fallback(values):
 
 
 def test_rows_are_cut_by_position_not_by_byte_value():
-    """A NUL or a byte of ',' or '\\n' inside a cell is kept as it is."""
+    """A NUL or a byte of ',' or '\\n' inside a cell is kept as it is, and
+    each separator stands before, between or after the fields."""
     names = ("\x00", "a\x00b", "", "x,y\n")
     codes = np.array([0, 1, 2, 3, 1], np.int8)
-    text = csv_rows([coded_cells(codes, names), int_cells(np.arange(5))])
-    assert text == "".join(f"{names[c]},{i}\n" for i, c in enumerate(codes))
+    text = rows([coded_cells(codes, names), int_cells(np.arange(5))],
+                [b"[", b", ", b"]\n"])
+    assert text == "".join(f"[{names[c]}, {i}]\n" for i, c in enumerate(codes))

@@ -87,6 +87,16 @@ def test_graph_rejects_bad_edges():
         from_edge_list(3, [(2, 0.5)])
 
 
+def test_graph_names_an_unsigned_endpoint_beyond_int64():
+    """A uint64 endpoint above 2**63 - 1 is named as it is, not as the
+    negative int64 it would wrap to; a small uint64 array builds a Graph."""
+    with pytest.raises(InputError, match="^edge endpoint 18446744073709551615 "
+                                         "is outside int64$"):
+        Graph(3, np.array([[0, 2 ** 64 - 1]], np.uint64))
+    g = Graph(3, np.array([[0, 2], [1, 2]], np.uint64))
+    assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 2], [1, 2]]
+
+
 def test_from_edge_list_normalizes():
     g = from_edge_list(4, [(3, 1), (1, 3), (0, 2)])
     assert g.edges.tolist() == [[0, 2], [1, 3]]
@@ -205,6 +215,24 @@ def test_parse_edge_list_errors(bad):
 def test_parse_edge_list_names_the_line(text, where):
     with pytest.raises(ParseError, match=where):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("3 1\n0 99999999999999999999\n",
+     "line 2: 99999999999999999999 is outside int64"),
+    ("3 1\n0 -9223372036854775809\n",
+     "line 2: -9223372036854775809 is outside int64"),
+    ("99999999999999999999 1\n0 1\n",
+     "line 1: 99999999999999999999 is outside int64"),
+], ids=["edge", "edge-below", "header"])
+def test_parse_edge_list_names_the_line_of_an_integer_beyond_int64(text,
+                                                                   where):
+    with pytest.raises(ParseError, match=f"^{where}$"):
+        parse_edge_list(text)
+    # 2**63 - 1 itself is read, and refused by Graph as out of range.
+    with pytest.raises(InputError, match="^edge \\(0, 9223372036854775807\\) "
+                                         "is not an ordered pair"):
+        parse_edge_list("3 1\n0 9223372036854775807\n")
 
 
 def test_generators_basic_shapes():

@@ -685,6 +685,30 @@ def test_report_graph_id_with_nul_round_trips(tmp_path, monkeypatch,
     assert parse_report(path) == records
 
 
+def _repeated_values():
+    """Verification records whose graph_ids and lambda1s repeat and
+    interleave, 0.0 and -0.0 among them: every block of 2 or 7 rows holds a
+    repeat, or shares a value with the block before it."""
+    record = verify_graph(gen_cycle(4), [0.5], graph_id="x")[0]
+    ids = ["a,b", "x", "a,b", "", "x", "grafo_é"]
+    lams = [0.0, -0.0, 1 / 3, 0.0, 2.5, 1 / 3, -0.0]
+    return [record._replace(graph_id=gid, lambda1=lam)
+            for gid, lam in zip(ids * 3, lams * 3)]
+
+
+@BLOCK_ROWS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_repeated_values_match_the_references(tmp_path, monkeypatch,
+                                                     block_rows, fmt):
+    """Each distinct graph_id and JSON real of a block is formatted once and
+    handed to every row that holds it, so each row must get its own."""
+    monkeypatch.setattr(harness_mod, "_BLOCK_ROWS", block_rows)
+    records = _repeated_values()
+    reference = _csv_writer_reference if fmt == "csv" else _json_reference
+    _assert_report_text(tmp_path, records, fmt,
+                        reference(records, VERIFICATION_COLUMNS))
+
+
 def _json_reference(records, columns):
     """JSON text built record by record with json.dumps."""
     return json.dumps([{name: getattr(v, "value", v)
@@ -827,6 +851,21 @@ def test_emit_report_refusal_creates_no_file(tmp_path, records, format, kind,
     with pytest.raises(InputError, match=message):
         emit_report(records, format, path, kind=kind)
     assert not path.exists()
+
+
+def test_emit_report_refuses_a_graph_id_utf8_cannot_encode(tmp_path):
+    """A lone surrogate has no UTF-8 code: a CSV report of it is refused
+    before its file is opened, and a JSON report escapes it."""
+    records = verify_graph(gen_star(3), [0.5], graph_id="a\ud800b")
+    path = tmp_path / "r.csv"
+    with pytest.raises(InputError, match=r"^graph_id 'a\\ud800b' cannot be "
+                                         "written as UTF-8"):
+        emit_report(records, "csv", path)
+    assert not path.exists()
+    jpath = tmp_path / "r.json"
+    emit_report(records, "json", jpath)
+    assert '"graph_id": "a\\ud800b"' in jpath.read_text(encoding="ascii")
+    assert parse_report(jpath) == records
 
 
 def test_csv_graph_id_line_breaks_round_trip(tmp_path):
