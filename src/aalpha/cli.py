@@ -4,6 +4,12 @@ Subcommands: eval, classify, sweep, verify, certify-stars, spectral.
 Exit codes: 0 success, 1 consistency/bound violation or solver failure,
 2 bad input or I/O. Every alpha must lie in [0, 1]; any other is refused
 with exit 2.
+
+Each choice a user can type is one table, kept with what it names:
+_GENERATORS below for --gen, spectral.METHODS for --method and
+harness.REPORT_FORMATS for --format. A generator spec with the wrong
+number of arguments gets its generator's arity message. Every command
+prints its result through _show.
 """
 
 import argparse
@@ -16,14 +22,33 @@ from .bounds import classify, compare_numeric
 from .errors import ConsistencyError, ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, gen_complete, gen_cycle,
                      gen_random, gen_star, parse_edge_list, parse_graph6)
-from .harness import (certify_star_equality, default_graph_id, emit_report,
-                      summarize_sweep, sweep_grid, verification_violations,
-                      verify_graph)
-from .spectral import spectral_radius
+from .harness import (REPORT_FORMATS, certify_star_equality,
+                      default_graph_id, emit_report, summarize_sweep,
+                      sweep_grid, verification_violations, verify_graph)
+from .spectral import METHODS, spectral_radius
+
+# A --gen name: its argument names, their types, and a call of its
+# generator, which reads the generator off this module at call time.
+_GENERATORS = {
+    "star": ("N", (int,), lambda *a: gen_star(*a)),
+    "complete": ("N", (int,), lambda *a: gen_complete(*a)),
+    "cycle": ("N", (int,), lambda *a: gen_cycle(*a)),
+    "random": ("N,P,SEED", (int, float, int), lambda *a: gen_random(*a)),
+}
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+def _show(fields, lines=()) -> None:
+    """Print each (key, value) field as 'key = value', reals at %.17g, then
+    each of lines. A character stdout cannot encode is written escaped, as
+    sys.stderr writes it."""
+    text = "".join([f"{key} = {val:.17g}\n" if isinstance(val, float)
+                    else f"{key} = {val}\n" for key, val in fields]
+                   + [f"{line}\n" for line in lines])
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:  # raised before any of text is written
+        enc = sys.stdout.encoding
+        sys.stdout.write(text.encode(enc, "backslashreplace").decode(enc))
 
 
 def _parse_gen(spec: str) -> tuple[str, Graph]:
@@ -31,26 +56,19 @@ def _parse_gen(spec: str) -> tuple[str, Graph]:
     name, sep, args = spec.partition(":")
     if not sep:
         raise InputError(f"generator spec needs a colon, got {spec!r}")
+    if name not in _GENERATORS:
+        raise InputError(
+            f"unknown generator {name!r}; expected {', '.join(_GENERATORS)}")
+    names, types, gen = _GENERATORS[name]
+    parts = args.split(",")
+    if len(parts) != len(types):
+        raise InputError(f"{name} generator needs {names}, got {args!r}")
     try:
-        if name == "star":
-            return spec, gen_star(int(args))
-        if name == "complete":
-            return spec, gen_complete(int(args))
-        if name == "cycle":
-            return spec, gen_cycle(int(args))
-        if name == "random":
-            parts = args.split(",")
-            if len(parts) != 3:
-                raise InputError(
-                    f"random generator needs N,P,SEED, got {args!r}")
-            return spec, gen_random(int(parts[0]), float(parts[1]),
-                                    int(parts[2]))
+        return spec, gen(*(t(a) for t, a in zip(types, parts)))
     except InputError:  # the generator's own error names the argument
         raise
     except ValueError:
         raise InputError(f"malformed generator arguments in {spec!r}")
-    raise InputError(
-        f"unknown generator {name!r}; expected star, complete, cycle, random")
 
 
 def _load_graph(args) -> tuple[str, Graph]:
@@ -84,8 +102,8 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
                      help="file whose first line is a graph6 string")
     src.add_argument("--edgelist", metavar="FILE",
                      help="file in 'n m' + edge-lines format")
-    src.add_argument("--gen", metavar="SPEC",
-                     help="star:N | complete:N | cycle:N | random:N,P,SEED")
+    src.add_argument("--gen", metavar="SPEC", help=" | ".join(
+        f"{name}:{names}" for name, (names, *_) in _GENERATORS.items()))
     p.add_argument("--add-isolated", type=int, default=0, metavar="K",
                    help="append K isolated vertices to the graph")
 
@@ -107,17 +125,15 @@ def _cmd_eval(args) -> int:
               ("diff", comp.difference), ("ordering", comp.ordering.value),
               ("witness", comp.witness.value)]
     if args.json:
-        print(json.dumps(dict(fields)))
+        _show((), [json.dumps(dict(fields))])
     else:
-        for key, val in fields:
-            print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")
+        _show(fields)
     return 0
 
 
 def _cmd_classify(args) -> int:
     ordering, witness = classify(args.delta, args.Delta, args.alpha)
-    print(f"ordering = {ordering.value}")
-    print(f"witness = {witness.value}")
+    _show([("ordering", ordering.value), ("witness", witness.value)])
     return 0
 
 
@@ -125,12 +141,9 @@ def _cmd_sweep(args) -> int:
     records = sweep_grid(args.delta_max, args.Delta_max, args.alpha_steps)
     emit_report(records, args.format, args.out, kind="sweep")
     s = summarize_sweep(records)
-    print(f"points = {s.total}")
-    print(f"greater = {s.greater}")
-    print(f"equal = {s.equal}")
-    print(f"less = {s.less}")
-    print(f"inconsistent = {s.inconsistent}")
-    print(f"report = {args.out}")
+    _show([("points", s.total), ("greater", s.greater), ("equal", s.equal),
+           ("less", s.less), ("inconsistent", s.inconsistent),
+           ("report", args.out)])
     return 0 if s.inconsistent == 0 else 1
 
 
@@ -139,37 +152,30 @@ def _cmd_verify(args) -> int:
     records = verify_graph(g, _alpha_list(args.alphas), args.method, gid)
     emit_report(records, args.format, args.out, kind="verification")
     bad = verification_violations(records)
-    print(f"graph = {gid}")
-    print(f"records = {len(records)}")
-    print(f"violations = {len(bad)}")
-    print(f"report = {args.out}")
-    for r in bad:
-        print(f"VIOLATION alpha={_fmt(r.alpha)} lambda1={_fmt(r.lambda1)} "
-              f"f={_fmt(r.f_value)} g={_fmt(r.g_value)}")
+    _show([("graph", gid), ("records", len(records)),
+           ("violations", len(bad)), ("report", args.out)],
+          [f"VIOLATION alpha={r.alpha:.17g} lambda1={r.lambda1:.17g} "
+           f"f={r.f_value:.17g} g={r.g_value:.17g}" for r in bad])
     return 0 if not bad else 1
 
 
 def _cmd_certify_stars(args) -> int:
     cert = certify_star_equality(args.Delta_max, args.alpha_steps)
-    print(f"equality checks = {cert.equality_checks}")
-    print(f"max equality gap = {_fmt(cert.max_equality_gap)}")
-    print(f"strictness checks = {cert.strictness_checks}")
-    print(f"min strictness margin = {_fmt(cert.min_strictness_margin)}")
-    print(f"failures = {len(cert.failures)}")
-    for line in cert.failures:
-        print(f"FAILED {line}")
+    _show([("equality checks", cert.equality_checks),
+           ("max equality gap", cert.max_equality_gap),
+           ("strictness checks", cert.strictness_checks),
+           ("min strictness margin", cert.min_strictness_margin),
+           ("failures", len(cert.failures))],
+          [f"FAILED {line}" for line in cert.failures])
     return 0 if cert.passed else 1
 
 
 def _cmd_spectral(args) -> int:
     gid, g = _load_graph(args)
-    am = build_alpha_matrix(g, args.alpha)
-    res = spectral_radius(am, args.method)
-    print(f"graph = {gid}")
-    print(f"lambda1 = {_fmt(res.lambda1)}")
-    print(f"residual = {_fmt(res.residual)}")
-    print(f"iterations = {res.iterations}")
-    print(f"method = {res.method}")
+    res = spectral_radius(build_alpha_matrix(g, args.alpha), args.method)
+    _show([("graph", gid), ("lambda1", res.lambda1),
+           ("residual", res.residual), ("iterations", res.iterations),
+           ("method", res.method)])
     return 0
 
 
@@ -198,16 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Delta-max", type=int, required=True)
     p.add_argument("--alpha-steps", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("verify", help="bound checks on one graph")
     _add_graph_source(p)
     p.add_argument("--alphas", required=True,
                    help="comma-separated alpha values in [0, 1]")
-    p.add_argument("--method", choices=("dense", "jacobi", "power", "lanczos"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("certify-stars",
@@ -219,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="spectral radius of one alpha matrix")
     _add_graph_source(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--method", choices=("dense", "jacobi", "power", "lanczos"))
+    p.add_argument("--method", choices=METHODS)
     p.set_defaults(fn=_cmd_spectral)
     return ap
 

@@ -44,6 +44,17 @@ def _int_pairs(edges) -> np.ndarray:
         raise InputError("edges must be (u, v) pairs of int64 endpoints") from None
 
 
+def _degrees(edges: np.ndarray, n: int) -> np.ndarray:
+    """The read-only degree array of n vertices joined by valid edges; an n
+    whose array numpy cannot allocate raises InputError naming n."""
+    try:
+        degrees = np.bincount(edges.ravel(), minlength=n)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise InputError(f"cannot hold a graph on n = {n} vertices: {exc}") from None
+    degrees.flags.writeable = False
+    return degrees
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple graph: ``edges`` a read-only (m, 2) int64 array of
@@ -72,9 +83,8 @@ class Graph:
                 f"self-loop ({u}, {u}) is not allowed" if u == v else
                 f"edge ({u}, {v}) is not an ordered pair over 0..{n - 1}"
                 if not 0 <= u < v < n else f"duplicate edge ({u}, {v})")
-        degrees = np.bincount(e.ravel(), minlength=n)
-        e.flags.writeable = degrees.flags.writeable = False
-        self.__dict__.update(n=n, edges=e, degrees=degrees)  # frozen fields
+        e.flags.writeable = False
+        self.__dict__.update(n=n, edges=e, degrees=_degrees(e, n))  # frozen
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -289,13 +299,10 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
 
 def add_isolated(g: Graph, k: int) -> Graph:
     """Same edges with k extra isolated vertices appended. The edge array is
-    valid already, so it is shared, not checked again; the degrees gain k
-    zeros."""
-    k = check_int("k", k)
-    degrees = np.concatenate((g.degrees, np.zeros(k, g.degrees.dtype)))
-    degrees.flags.writeable = False
+    valid already, so it is shared, not checked again."""
+    n = g.n + check_int("k", k)
     h = object.__new__(Graph)
-    h.__dict__.update(n=g.n + k, edges=g.edges, degrees=degrees)
+    h.__dict__.update(n=n, edges=g.edges, degrees=_degrees(g.edges, n))
     return h
 
 

@@ -460,6 +460,7 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
 # ---------------------------------------------------------------------------
 
 _BLOCK_ROWS = 4096  # report rows formatted, written or re-read at a time
+REPORT_FORMATS = ("csv", "json")  # each also names a _Cell block writer
 
 
 class _Cell(NamedTuple):
@@ -559,8 +560,9 @@ def _report_columns(records, format: str, kind: str | None) -> dict:
     if kind is None and records:
         kind = "sweep" if isinstance(records[0], SweepRecord) else "verification"
     table = ReportTable.from_records(records, kind)
-    if format not in ("csv", "json"):
-        raise InputError(f"unknown report format {format!r}, expected csv or json")
+    if format not in REPORT_FORMATS:
+        raise InputError(f"unknown report format {format!r}, expected "
+                         + " or ".join(REPORT_FORMATS))
     if format == "csv" and table.kind == "verification":
         # JSON escapes a lone surrogate; CSV is UTF-8, which has no code for it.
         for gid in dict.fromkeys(table.columns["graph_id"].tolist()):

@@ -27,6 +27,7 @@ POWER_TOL = 1e-10
 POWER_MAX_ITER = 100000
 LANCZOS_MAX_STEPS = 300
 DISPATCH_DENSE_LIMIT = 1000
+METHODS = ("dense", "jacobi", "power", "lanczos")  # spectral_radius_<name>
 _EPS = float(np.finfo(float).eps)
 _FLOOR = 1e-10  # Lanczos's first Collatz-Wielandt floor, relative to max x
 
@@ -36,7 +37,7 @@ class SpectralResult:
     """Largest eigenvalue with the evidence that produced it."""
 
     lambda1: float
-    method: str  # "dense", "jacobi", "power" or "lanczos"
+    method: str  # a name in METHODS
     residual: float
     iterations: int
 
@@ -269,15 +270,13 @@ def _default_method(n: int) -> str:
 
 def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult:
     """Dispatch to a solver: dense LAPACK for n <= DISPATCH_DENSE_LIMIT (1000),
-    Lanczos above. method may force "dense", "jacobi", "power" or "lanczos".
+    Lanczos above. method may force any name in METHODS; the solver it names,
+    spectral_radius_<method>, is looked up on this module at each call.
     """
-    # Built per call, so that a solver replaced on this module is the one run.
-    solvers = {"dense": spectral_radius_dense, "jacobi": spectral_radius_jacobi,
-               "power": spectral_radius_power,
-               "lanczos": spectral_radius_lanczos}
     if method is None:
         method = _default_method(m.n)
-    if method not in tuple(solvers):  # by ==, so an unhashable one is unknown
-        raise InputError(f"unknown method {method!r}, expected 'dense', "
-                         "'jacobi', 'power' or 'lanczos'")
-    return solvers[method](m)
+    if method not in METHODS:  # by ==, so an unhashable one is unknown
+        names = ", ".join(map(repr, METHODS[:-1]))
+        raise InputError(f"unknown method {method!r}, expected {names} "
+                         f"or {METHODS[-1]!r}")
+    return globals()["spectral_radius_" + method](m)

@@ -1,5 +1,6 @@
 """CLI behavior: output shapes, exit codes, the alpha domain."""
 
+import io
 import json
 import os
 import subprocess
@@ -287,6 +288,8 @@ def test_spectral_random_gen(capsys):
     ("spectral", "--graph6", "/does/not/exist.g6", "--alpha", "0.5"),
     ("sweep", "--delta-max", "4", "--Delta-max", "2", "--alpha-steps", "5",
      "--out", "/tmp/x.csv"),
+    ("spectral", "--gen", "star:4", "--add-isolated", str(2 ** 50),
+     "--alpha", "0.5"),
 ])
 def test_input_errors_exit_two(capsys, argv):
     rc, _, err = run(capsys, *argv)
@@ -300,11 +303,60 @@ def test_input_errors_exit_two(capsys, argv):
     ("random:5,1.5,0", "need p in [0, 1], got 1.5"),
     ("star5", "generator spec needs a colon, got 'star5'"),
     ("random:5,x,1", "malformed generator arguments in 'random:5,x,1'"),
+    ("spiral:4",
+     "unknown generator 'spiral'; expected star, complete, cycle, random"),
+    ("star:1,2", "star generator needs N, got '1,2'"),
+    ("complete:4,5", "complete generator needs N, got '4,5'"),
+    ("cycle:3,4,5", "cycle generator needs N, got '3,4,5'"),
+    ("random:4,0.5", "random generator needs N,P,SEED, got '4,0.5'"),
 ])
 def test_generator_error_names_the_argument(capsys, spec, message):
     rc, _, err = run(capsys, "spectral", "--gen", spec, "--alpha", "0.5")
     assert rc == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "spectral"])
+def test_help_lists_every_generator_and_method(capsys, command):
+    """--gen's help comes from the generator table and --method's choices
+    from spectral.METHODS."""
+    with pytest.raises(SystemExit) as ei:
+        main([command, "--help"])
+    assert ei.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # as wrapped or not
+    specs = [f"{name}:{names}"
+             for name, (names, *_) in cli_mod._GENERATORS.items()]
+    assert "--gen SPEC " + " | ".join(specs) in out
+    assert "--method {" + ",".join(spectral_mod.METHODS) + "}" in out
+
+
+@pytest.mark.parametrize("spec", ["star:5", "complete:4", "cycle:5",
+                                  "random:6,0.5,1"])
+def test_generator_is_read_off_the_cli_module(capsys, monkeypatch, spec):
+    """The generator a spec names is looked up on aalpha.cli at call time,
+    so one patched there is the one that runs."""
+    name = "gen_" + spec.partition(":")[0]
+    real, calls = getattr(cli_mod, name), []
+    monkeypatch.setattr(cli_mod, name,
+                        lambda *a: calls.append(a) or real(*a))
+    rc, out, _ = run(capsys, "spectral", "--gen", spec, "--alpha", "0.5")
+    assert rc == 0 and fields(out)["graph"] == spec
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", spectral_mod.METHODS)
+def test_solver_is_read_off_the_spectral_module(capsys, monkeypatch, method):
+    """--method names a solver that spectral_radius looks up on
+    aalpha.spectral at call time, so one patched there is the one that
+    runs."""
+    name = "spectral_radius_" + method
+    real, calls = getattr(spectral_mod, name), []
+    monkeypatch.setattr(spectral_mod, name,
+                        lambda m: calls.append(m) or real(m))
+    rc, out, _ = run(capsys, "spectral", "--gen", "cycle:5", "--alpha", "0.5",
+                     "--method", method)
+    assert rc == 0 and fields(out)["method"] == method
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("flag, data", [
@@ -327,7 +379,10 @@ def test_non_ascii_input_exits_two(capsys, tmp_path, flag, data):
      "line 2: 99999999999999999999999 is outside int64"),
     (("verify", "--gen", "star:4", "--alphas", ",", "--out", "{path}.csv"),
      "", "--alphas is empty"),
-], ids=["empty-graph6", "huge-endpoint", "empty-alphas"])
+    (("spectral", "--edgelist", "{path}", "--alpha", "0.5"),
+     "9223372036854775807 0\n",
+     "cannot hold a graph on n = 9223372036854775807 vertices: "),
+], ids=["empty-graph6", "huge-endpoint", "empty-alphas", "huge-n"])
 def test_input_error_messages(capsys, tmp_path, argv, text, message):
     path = tmp_path / "graph.txt"
     path.write_text(text)
@@ -360,6 +415,41 @@ def test_report_of_a_path_utf8_cannot_encode(capsys, tmp_path):
     assert err == (f"error: graph_id {'edgelist:' + str(path)!r} cannot be "
                    "written as UTF-8: surrogates not allowed\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("encoding, name, shown", [
+    ("utf-8", b"\xff.edges", b"\\udcff.edges"),
+    ("utf-8:surrogateescape", b"\xff.edges", b"\xff.edges"),
+    ("utf-8", "grafo_é.edges".encode(), "grafo_é.edges".encode()),
+    ("ascii", "grafo_é.edges".encode(), b"grafo_\\xe9.edges"),
+], ids=["surrogate-escaped", "surrogate-raw", "utf-8", "ascii-escaped"])
+def test_stdout_escapes_what_it_cannot_encode(tmp_path, encoding, name, shown):
+    """A graph id that stdout cannot encode is printed escaped, as stderr
+    prints it, after the report is written; one it can encode is printed
+    as it is."""
+    path = tmp_path / os.fsdecode(name)
+    path.write_text("3 2\n0 1\n1 2\n")
+    out = tmp_path / "o.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "aalpha", "verify", "--edgelist", path,
+         "--alphas", "0.5", "--format", "json", "--out", out],
+        capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONIOENCODING=encoding))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert [r.graph_id for r in parse_report(out)] == [f"edgelist:{path}"]
+    assert proc.stdout.splitlines()[0] == \
+        b"graph = edgelist:" + os.fsencode(tmp_path) + b"/" + shown
+
+
+def test_stdout_without_an_encoding(tmp_path, monkeypatch):
+    """A stdout with no encoding, such as io.StringIO, takes every line as
+    it is."""
+    path = tmp_path / os.fsdecode(b"\xff.edges")
+    path.write_text("3 2\n0 1\n1 2\n")
+    buf = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", buf)
+    assert main(["spectral", "--edgelist", str(path), "--alpha", "0.5"]) == 0
+    assert buf.getvalue().splitlines()[0] == f"graph = edgelist:{path}"
 
 
 def test_unwritable_output_exits_two(capsys, tmp_path):

@@ -338,6 +338,22 @@ def test_add_isolated():
         add_isolated(g, -1)
 
 
+
+@pytest.mark.parametrize("n", [2 ** 62, 2 ** 50, 2 ** 63],
+                         ids=["too-big", "no-memory", "beyond-int64"])
+def test_vertex_count_that_cannot_be_held(n):
+    """A vertex count whose degree array numpy cannot allocate (too big to
+    size, 8 PiB, or past int64) is refused naming n, at once and without
+    touching memory: by Graph, by the edge-list parser and by add_isolated."""
+    g = gen_star(3)
+    makers = [lambda: Graph(n, ()), lambda: add_isolated(g, n - g.n)]
+    if n < 2 ** 63:
+        makers.append(lambda: parse_edge_list(f"{n} 0\n"))
+    for make in makers:
+        with pytest.raises(InputError,
+                           match=f"^cannot hold a graph on n = {n} vertices: "):
+            make()
+
 def test_add_isolated_pads_the_valid_graph(monkeypatch):
     """add_isolated(g, k) is Graph(g.n + k, g.edges) with the same hash and
     read-only arrays, built without running the edge validator again."""

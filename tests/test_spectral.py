@@ -1,6 +1,7 @@
 """The eigensolvers against closed-form spectra, each other, and numpy."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -138,7 +139,9 @@ def test_dispatcher():
     assert spectral_radius(am, "jacobi").method == "jacobi"
     assert spectral_radius(am, "lanczos").method == "lanczos"
     for bad in ("arnoldi", "", ["dense"]):  # "" is not None: no default
-        with pytest.raises(InputError, match="unknown method"):
+        with pytest.raises(InputError, match="^" + re.escape(
+                f"unknown method {bad!r}, expected 'dense', 'jacobi', "
+                "'power' or 'lanczos'") + "$"):
             spectral_radius(am, bad)
     assert DISPATCH_DENSE_LIMIT == 1000
     at_limit = build_alpha_matrix(gen_cycle(DISPATCH_DENSE_LIMIT), 0.5)
