@@ -16,12 +16,13 @@ from .graphs import (GRAPH6_MAX_N, DegreeProfile, Graph, add_isolated,
                      gen_complete, gen_cycle, gen_random, gen_star,
                      is_connected, is_star, parse_edge_list, parse_graph6)
 from .harness import (BOUND_SLACK, EQUALITY_TOL, STRICTNESS_ALPHAS,
-                      STRICTNESS_MARGIN, SWEEP_COLUMNS, VERIFICATION_COLUMNS,
-                      ReportTable, StarCertification, SweepRecord,
-                      SweepSummary, VerificationRecord, certify_star_equality,
-                      default_graph_id, emit_report, parse_report,
-                      random_campaign, render_report, summarize_sweep,
-                      sweep_grid, verification_violations, verify_graph)
+                      STRICTNESS_MARGIN, StarCertification, SweepSummary,
+                      certify_star_equality, default_graph_id,
+                      random_campaign, summarize_sweep, sweep_grid,
+                      verification_violations, verify_graph)
+from .reports import (SWEEP_COLUMNS, VERIFICATION_COLUMNS, ReportTable,
+                      SweepRecord, VerificationRecord, emit_report,
+                      parse_report, render_report)
 from .spectral import (DISPATCH_DENSE_LIMIT, JACOBI_MAX_SWEEPS,
                        LANCZOS_MAX_STEPS, POWER_MAX_ITER, POWER_TOL,
                        SpectralResult, spectral_radii_dense, spectral_radius,

@@ -13,8 +13,11 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import check_alpha
+from .csvtext import real_cells, rows
 from .errors import InputError
 from .graphs import Graph
+
+_CSV_CELLS = 1 << 16  # matrix entries matrix_csv formats at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +101,15 @@ def matvec(am: AlphaMatrix, x) -> np.ndarray:
 
 
 def matrix_csv(am: AlphaMatrix) -> str:
-    """Matrix entries as n CSV lines at full float64 precision (%.17g)."""
-    lines = [",".join("%.17g" % v for v in row) for row in am.matrix]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Matrix entries as n CSV lines at full float64 precision (%.17g),
+    made as report rows are: the cells of a block of matrix rows, about
+    _CSV_CELLS entries, then that block's text (aalpha.csvtext)."""
+    n = am.n
+    seps = [b"", *[b","] * (n - 1), b"\n"]
+    step, text = max(1, _CSV_CELLS // max(n, 1)), []
+    for lo in range(0, n, step):
+        block = am.matrix[lo:lo + step]
+        cells, keep = (a.reshape(len(block), n, -1)
+                       for a in real_cells(block.ravel()))
+        text.append(rows([(cells[:, j], keep[:, j]) for j in range(n)], seps))
+    return "".join(text)

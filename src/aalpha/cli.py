@@ -7,7 +7,7 @@ with exit 2.
 
 Each choice a user can type is one table, kept with what it names:
 _GENERATORS below for --gen, spectral.METHODS for --method and
-harness.REPORT_FORMATS for --format. A generator spec with the wrong
+reports.REPORT_FORMATS for --format. A generator spec with the wrong
 number of arguments gets its generator's arity message. Every command
 prints its result through _show.
 """
@@ -22,9 +22,10 @@ from .bounds import classify, compare_numeric
 from .errors import ConsistencyError, ConvergenceError, InputError
 from .graphs import (Graph, add_isolated, gen_complete, gen_cycle,
                      gen_random, gen_star, parse_edge_list, parse_graph6)
-from .harness import (REPORT_FORMATS, certify_star_equality,
-                      default_graph_id, emit_report, summarize_sweep,
-                      sweep_grid, verification_violations, verify_graph)
+from .harness import (certify_star_equality, default_graph_id,
+                      summarize_sweep, sweep_grid, verification_violations,
+                      verify_graph)
+from .reports import REPORT_FORMATS, emit_report
 from .spectral import METHODS, spectral_radius
 
 # A --gen name: its argument names, their types, and a call of its

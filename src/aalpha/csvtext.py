@@ -17,8 +17,9 @@ computed exactly as hi + lo by Dekker's TwoProduct (Numer. Math. 18, 1971),
 which needs no fused multiply-add, and rounded half-even to the 17-digit
 integer D. Its digits come from a table of the 10**4 four-digit strings.
 "%.17g" writes D positionally when -4 <= X <= 16, and then so does the
-kernel. Every other value (zero, NaN, an infinity, a subnormal, one written
-with an exponent, one just below a power of ten where log10 rounds up) is
+kernel; it writes a zero as the layout of D = 0 at X = 0, "0" or "-0".
+Every other value (NaN, an infinity, a subnormal, one written with an
+exponent, one just below a power of ten where log10 rounds up) is
 formatted by "%.17g" itself, one at a time.
 """
 
@@ -162,7 +163,7 @@ def _real_layout(d, x, negative):
     # Blends by 0/1 masks, which numpy runs far faster than np.where on uint8.
     cells += (a - cells) * t.first.take(row, axis=0)
     cells += (ord(".") - cells) * t.point.take(row, axis=0)
-    # The last nonzero digit k; the lead digit is not 0.
+    # The last nonzero digit k, or k = 0 (the lead digit) when D = 0.
     z, nil = t.zeros.take(quads), quads == 0
     k = 16 - (z[:, 3] + nil[:, 3] * (z[:, 2] + nil[:, 2] * (
         z[:, 1] + nil[:, 1] * z[:, 0])))
@@ -182,6 +183,8 @@ def real_cells(values: np.ndarray):
         return _pack(_pct17g(values))
     d, x, ok = _significand(np.abs(values))
     ok &= x >= -4  # "%.17g" writes 1e-5 <= |v| < 1e-4 with an exponent
+    zero = values == 0
+    d[zero], x[zero], ok[zero] = 0, 0, True
     cells, keep = _real_layout(d, x, np.signbit(values))
     slow = np.flatnonzero(~ok)
     return _fallback(cells, keep, slow, _pct17g(values[slow]))

@@ -44,13 +44,28 @@ def _int_pairs(edges) -> np.ndarray:
         raise InputError("edges must be (u, v) pairs of int64 endpoints") from None
 
 
+class _Holding:
+    """A context in which numpy's refusal of an array of a graph on n
+    vertices raises InputError naming n. (A generator-based context costs
+    three times as much, on every graph built.)"""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, trace):
+        if kind and issubclass(kind, (ValueError, OverflowError, MemoryError)):
+            raise InputError(f"cannot hold a graph on n = {self.n} vertices: "
+                             f"{exc}") from None
+
+
 def _degrees(edges: np.ndarray, n: int) -> np.ndarray:
-    """The read-only degree array of n vertices joined by valid edges; an n
-    whose array numpy cannot allocate raises InputError naming n."""
-    try:
+    """The read-only degree array of n vertices joined by valid edges, which
+    should be writeable: np.bincount copies read-only ones."""
+    with _Holding(n):
         degrees = np.bincount(edges.ravel(), minlength=n)
-    except (ValueError, OverflowError, MemoryError) as exc:
-        raise InputError(f"cannot hold a graph on n = {n} vertices: {exc}") from None
     degrees.flags.writeable = False
     return degrees
 
@@ -83,8 +98,9 @@ class Graph:
                 f"self-loop ({u}, {u}) is not allowed" if u == v else
                 f"edge ({u}, {v}) is not an ordered pair over 0..{n - 1}"
                 if not 0 <= u < v < n else f"duplicate edge ({u}, {v})")
+        degrees = _degrees(e, n)
         e.flags.writeable = False
-        self.__dict__.update(n=n, edges=e, degrees=_degrees(e, n))  # frozen
+        self.__dict__.update(n=n, edges=e, degrees=degrees)  # frozen
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -238,13 +254,17 @@ def parse_edge_list(text: str) -> Graph:
 def gen_star(n: int) -> Graph:
     """Star K_{1,n-1}: vertex 0 adjacent to all others (n >= 2)."""
     n = check_int("n", n, 2)
-    return Graph(n, np.column_stack((np.zeros(n - 1, int), np.arange(1, n))))
+    with _Holding(n):
+        pairs = np.column_stack((np.zeros(n - 1, int), np.arange(1, n)))
+    return Graph(n, pairs)
 
 
 def gen_complete(n: int) -> Graph:
     """Complete graph K_n (n >= 1)."""
     n = check_int("n", n, 1)
-    return Graph(n, np.argwhere(np.tri(n, k=-1, dtype=bool).T))
+    with _Holding(n):
+        pairs = np.argwhere(np.tri(n, k=-1, dtype=bool).T)
+    return Graph(n, pairs)
 
 
 def gen_cycle(n: int) -> Graph:
@@ -266,8 +286,9 @@ def gen_circulant(n: int, offsets) -> Graph:
         raise InputError(f"a circulant needs offsets in [1, n/2], got n = {n}, "
                          f"offsets {offs}")
     steps = np.array(sorted({s for o in offs for s in (o, n - o)}))
-    u, j = np.nonzero(np.arange(n)[:, None] + steps < n)
-    pairs = np.column_stack((u, u + steps[j]))
+    with _Holding(n):
+        u, j = np.nonzero(np.arange(n)[:, None] + steps < n)
+        pairs = np.column_stack((u, u + steps[j]))
     del u, j  # not held through Graph's check, the peak of the two
     return Graph(n, pairs)
 
@@ -287,8 +308,9 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     """
     n, p = check_int("n", n), check_alpha(p, name="p")
     rng = np.random.default_rng(check_int("seed", seed))
-    rows = np.arange(n, dtype=np.int64)
-    starts = rows * (2 * n - rows - 1) // 2  # flat offset of pair (i, i+1)
+    with _Holding(n):
+        rows = np.arange(n, dtype=np.int64)
+        starts = rows * (2 * n - rows - 1) // 2  # flat offset of pair (i, i+1)
     pairs = n * (n - 1) // 2
     kept = [np.flatnonzero(rng.random(min(_RANDOM_CHUNK, pairs - lo)) < p) + lo
             for lo in range(0, pairs, _RANDOM_CHUNK)]
@@ -299,10 +321,15 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
 
 def add_isolated(g: Graph, k: int) -> Graph:
     """Same edges with k extra isolated vertices appended. The edge array is
-    valid already, so it is shared, not checked again."""
+    valid already, so it is shared, not checked again, and the degrees are
+    g's padded with k zeros."""
     n = g.n + check_int("k", k)
+    with _Holding(n):
+        degrees = np.zeros(n, np.int64)
+    degrees[:g.n] = g.degrees
+    degrees.flags.writeable = False
     h = object.__new__(Graph)
-    h.__dict__.update(n=n, edges=g.edges, degrees=_degrees(g.edges, n))
+    h.__dict__.update(n=n, edges=g.edges, degrees=degrees)
     return h
 
 

@@ -222,7 +222,7 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
     n, cap, shift = m.n, LANCZOS_MAX_STEPS, float(m.max_degree)
     basis = np.empty((1, n))
     basis[0] = 1.0 / math.sqrt(n)
-    diag, off = [], []
+    t = np.zeros((1, 1))  # the tridiagonal matrix, grown with the basis
     floor = None
     for k in range(1, cap + 1):
         q = basis[:k]
@@ -231,10 +231,9 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
         c = q @ w
         w -= c @ q
         w -= (q @ w) @ q
-        diag.append(float(c[-1]))
+        t[k - 1, k - 1] = c[-1] + 0.0  # + 0.0 stores a -0.0 as 0.0
         beta = float(np.linalg.norm(w))
-        theta, s = np.linalg.eigh(
-            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        theta, s = np.linalg.eigh(t[:k, :k])
         s = s[:, -1] if s[0, -1] >= 0.0 else -s[:, -1]  # x . 1 >= 0
         invariant = beta <= _EPS * scale
         if (invariant or k == cap
@@ -254,9 +253,11 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
             floor = (ay + shift * y) / (lo + shift)
         if k < cap:
             if k == len(basis):
-                basis = np.concatenate((basis, np.empty((min(k, cap - k), n))))
+                more = min(k, cap - k)
+                basis = np.concatenate((basis, np.empty((more, n))))
+                t = np.pad(t, (0, more))
             basis[k] = w / beta
-            off.append(beta)
+            t[k - 1, k] = t[k, k - 1] = beta
     raise ConvergenceError(
         f"lanczos did not enclose lambda1 to {POWER_TOL:g} in {cap} steps: "
         f"lambda1 in [{lo!r}, {hi!r}]",

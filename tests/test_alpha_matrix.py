@@ -101,6 +101,22 @@ def test_matrix_csv():
     assert matrix_csv(build_alpha_matrix(Graph(0, ()), 0.5)) == ""
 
 
+def _per_cell_csv(am):
+    """matrix_csv's text written one entry at a time."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n"
+                   for row in am.matrix.tolist())
+
+
+@pytest.mark.parametrize("g, alpha", [
+    (gen_random(1000, 0.01, 1), 0.5),  # 16 blocks of rows, nearly all 0
+    (gen_complete(9), 1 / 3),  # one block of fewer cells than a vector
+    (gen_star(300), -0.0),  # a -0 diagonal
+], ids=["G1000", "K9", "star-minus-zero"])
+def test_matrix_csv_matches_per_cell_text(g, alpha):
+    am = build_alpha_matrix(g, alpha)
+    assert matrix_csv(am) == _per_cell_csv(am)
+
+
 def test_metadata_fields():
     g = gen_star(6)
     am = build_alpha_matrix(g, 0.25)

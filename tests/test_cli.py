@@ -290,6 +290,8 @@ def test_spectral_random_gen(capsys):
      "--out", "/tmp/x.csv"),
     ("spectral", "--gen", "star:4", "--add-isolated", str(2 ** 50),
      "--alpha", "0.5"),
+    ("spectral", "--gen", "star:4611686018427387904", "--alpha", "0.5"),
+    ("spectral", "--gen", "cycle:1125899906842624", "--alpha", "0.5"),
 ])
 def test_input_errors_exit_two(capsys, argv):
     rc, _, err = run(capsys, *argv)

@@ -342,17 +342,42 @@ def test_add_isolated():
 @pytest.mark.parametrize("n", [2 ** 62, 2 ** 50, 2 ** 63],
                          ids=["too-big", "no-memory", "beyond-int64"])
 def test_vertex_count_that_cannot_be_held(n):
-    """A vertex count whose degree array numpy cannot allocate (too big to
-    size, 8 PiB, or past int64) is refused naming n, at once and without
-    touching memory: by Graph, by the edge-list parser and by add_isolated."""
+    """A vertex count whose arrays numpy cannot allocate (too big to size,
+    8 PiB, or past int64) is refused naming n, at once and without touching
+    memory: by Graph, by the edge-list parser, by add_isolated and by each
+    generator."""
     g = gen_star(3)
-    makers = [lambda: Graph(n, ()), lambda: add_isolated(g, n - g.n)]
+    makers = [lambda: Graph(n, ()), lambda: add_isolated(g, n - g.n),
+              lambda: gen_star(n), lambda: gen_complete(n),
+              lambda: gen_cycle(n), lambda: gen_random(n, 0.5, 0)]
     if n < 2 ** 63:
         makers.append(lambda: parse_edge_list(f"{n} 0\n"))
     for make in makers:
         with pytest.raises(InputError,
                            match=f"^cannot hold a graph on n = {n} vertices: "):
             make()
+
+
+def _traced_peak(make):
+    """make() and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return make(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cycle_and_add_isolated_memory_peaks():
+    """gen_cycle(10**6) peaks at 57.0 MB, its 16 MB edge array and Graph's
+    check of it: the degrees are counted while the edges are writeable, as
+    np.bincount copies a read-only array (73.0 MB). add_isolated shares the
+    edges and pads the degrees, about 8 MB."""
+    g, peak = _traced_peak(lambda: gen_cycle(10 ** 6))
+    assert peak < 57.05e6, f"peak {peak / 1e6:.1f} MB"
+    h, peak = _traced_peak(lambda: add_isolated(g, 1))
+    assert peak < 8.5e6, f"peak {peak / 1e6:.1f} MB"
+    assert h.edges is g.edges and h.degrees.tolist() == [2] * 10 ** 6 + [0]
+
 
 def test_add_isolated_pads_the_valid_graph(monkeypatch):
     """add_isolated(g, k) is Graph(g.n + k, g.edges) with the same hash and

@@ -16,6 +16,7 @@ import pytest
 
 import aalpha.alpha_matrix as alpha_matrix_mod
 import aalpha.harness as harness_mod
+import aalpha.reports as reports_mod
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, EQUALITY_TOL,
                     Graph, InputError, Ordering, STRICTNESS_ALPHAS,
                     ReportTable, SweepRecord, SWEEP_COLUMNS,
@@ -613,7 +614,7 @@ def _csv_writer_reference(records, columns):
 # Rows per written block: the edge sizes, one that does not divide any
 # record count used below, and the default.
 BLOCK_ROWS = pytest.mark.parametrize(
-    "block_rows", [1, 2, 7, harness_mod._BLOCK_ROWS],
+    "block_rows", [1, 2, 7, reports_mod._BLOCK_ROWS],
     ids=["rows1", "rows2", "rows7", "default"])
 
 
@@ -644,7 +645,7 @@ def _hand_verification(graph_ids):
 
 @BLOCK_ROWS
 def test_csv_report_bytes_match_csv_writer(tmp_path, monkeypatch, block_rows):
-    monkeypatch.setattr(harness_mod, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(reports_mod, "_BLOCK_ROWS", block_rows)
     sweep = sweep_grid(2, 4, 7)
     # sweep_grid(3, 6, 20) has 462 rows, enough that the default block's
     # columns go through the vectorized kernels.
@@ -678,7 +679,7 @@ def test_report_graph_id_with_nul_round_trips(tmp_path, monkeypatch,
                                               block_rows, fmt):
     """A CSV block is cut out of a byte matrix by the length of each field,
     not by byte value, so a NUL in a graph_id is written and read back."""
-    monkeypatch.setattr(harness_mod, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(reports_mod, "_BLOCK_ROWS", block_rows)
     records = _hand_verification(["\x00", "a\x00b"]) + _huge_counts()
     path = tmp_path / f"r.{fmt}"
     emit_report(records, fmt, path)
@@ -702,7 +703,7 @@ def test_report_repeated_values_match_the_references(tmp_path, monkeypatch,
                                                      block_rows, fmt):
     """Each distinct graph_id and JSON real of a block is formatted once and
     handed to every row that holds it, so each row must get its own."""
-    monkeypatch.setattr(harness_mod, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(reports_mod, "_BLOCK_ROWS", block_rows)
     records = _repeated_values()
     reference = _csv_writer_reference if fmt == "csv" else _json_reference
     _assert_report_text(tmp_path, records, fmt,
@@ -718,7 +719,7 @@ def _json_reference(records, columns):
 
 @BLOCK_ROWS
 def test_json_report_bytes_match_json_dumps(tmp_path, monkeypatch, block_rows):
-    monkeypatch.setattr(harness_mod, "_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(reports_mod, "_BLOCK_ROWS", block_rows)
     sweep = sweep_grid(2, 4, 7)
     for records in (sweep, list(sweep), _hand_sweep(sweep)):
         _assert_report_text(tmp_path, records, "json",
@@ -728,6 +729,44 @@ def test_json_report_bytes_match_json_dumps(tmp_path, monkeypatch, block_rows):
                                 "grafo_é,\"x"])
     _assert_report_text(tmp_path, verif, "json",
                         _json_reference(verif, VERIFICATION_COLUMNS))
+
+
+class _ResidualRecord(NamedTuple):
+    """A layout that no campaign writes, to stand for a new report kind."""
+
+    graph_id: str
+    alpha: float
+    lambda1: float
+    residual: float
+    iterations: int
+    converged: bool
+
+
+@BLOCK_ROWS
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_new_report_kind_is_one_kinds_entry(tmp_path, monkeypatch,
+                                             block_rows, fmt):
+    """A record type added to _KINDS is a report kind with nothing else
+    changed: its records are written in either format (200 rows, enough
+    that the default block goes through the vectorized kernels), read back
+    as its kind, and kept apart from the other kinds."""
+    monkeypatch.setitem(reports_mod._KINDS, "residual", _ResidualRecord)
+    monkeypatch.setattr(reports_mod, "_BLOCK_ROWS", block_rows)
+    records = [_ResidualRecord(f"g{i % 3},x", i / 7, math.sqrt(i),
+                               -0.0 if i % 2 else i * 1e-300, i, i % 4 == 0)
+               for i in range(200)]
+    columns = tuple(reports_mod._schema(_ResidualRecord))
+    reference = _csv_writer_reference if fmt == "csv" else _json_reference
+    _assert_report_text(tmp_path, records, fmt, reference(records, columns))
+    back = parse_report(tmp_path / f"r.{fmt}")
+    assert back.kind == "residual" and back == records
+    assert ReportTable.from_records(records, "residual") == back
+    assert back[:0] != ReportTable.from_records([], "verification")
+    with pytest.raises(InputError, match="^expected residual records, got a "
+                                         "sweep table$"):
+        ReportTable.from_records(sweep_grid(0, 0, 1), "residual")
+    with pytest.raises(InputError, match="^unrecognized report columns"):
+        ReportTable(dict(zip(columns[::-1], back.columns.values())))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -763,23 +802,24 @@ def test_report_schema_is_read_off_the_record_types():
     assert VERIFICATION_COLUMNS == (
         "graph_id", "n", "m", "Delta", "delta", "alpha", "lambda1", "f", "g",
         "f_holds", "g_holds", "g_equality", "is_star", "is_connected")
-    h = harness_mod
-    cells = {"delta": h._INT, "Delta": h._INT, "alpha": h._REAL,
-             "f": h._REAL, "g": h._REAL, "diff": h._REAL,
-             "symbolic": h._ORDERING, "numeric": h._ORDERING,
-             "witness": h._WITNESS, "consistent": h._BOOL,
-             "graph_id": h._TEXT, "n": h._INT, "m": h._INT,
-             "lambda1": h._REAL, "f_holds": h._BOOL, "g_holds": h._BOOL,
-             "g_equality": h._BOOL, "is_star": h._BOOL,
-             "is_connected": h._BOOL}
-    assert h._CELLS.keys() == cells.keys()
-    assert all(h._CELLS[name] is cell for name, cell in cells.items())
+    r = reports_mod
+    cells = {"delta": r._INT, "Delta": r._INT, "alpha": r._REAL,
+             "f": r._REAL, "g": r._REAL, "diff": r._REAL,
+             "symbolic": r._ORDERING, "numeric": r._ORDERING,
+             "witness": r._WITNESS, "consistent": r._BOOL,
+             "graph_id": r._TEXT, "n": r._INT, "m": r._INT,
+             "lambda1": r._REAL, "f_holds": r._BOOL, "g_holds": r._BOOL,
+             "g_equality": r._BOOL, "is_star": r._BOOL,
+             "is_connected": r._BOOL}
+    schemas = r._schema(SweepRecord) | r._schema(VerificationRecord)
+    assert schemas.keys() == cells.keys()
+    assert all(schemas[name] is cell for name, cell in cells.items())
     extended = NamedTuple("Extended", [
         *VerificationRecord.__annotations__.items(), ("residual", float)])
-    schema = h._schema(extended)
+    schema = r._schema(extended)
     assert tuple(schema) == VERIFICATION_COLUMNS + ("residual",)
-    assert schema["residual"] is h._REAL
-    assert all(schema[name] is h._CELLS[name] for name in VERIFICATION_COLUMNS)
+    assert schema["residual"] is r._REAL
+    assert all(schema[name] is schemas[name] for name in VERIFICATION_COLUMNS)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1027,7 +1067,8 @@ def _workloads(monkeypatch):
 def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
     """Every function a traced benchmark pass wraps is still there under the
     name it wraps, so dropping one fails here and not only in the benchmark.
-    harness keeps its degree_profile import for this hook alone."""
+    harness keeps its degree_profile, emit_report, parse_report and
+    render_report imports for these hooks alone."""
     for name, workload in _workloads(monkeypatch).WORKLOADS.items():
         (tmp_path / name).mkdir()
         hooks = workload(0, "tiny", str(tmp_path / name)).hooks()

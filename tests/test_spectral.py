@@ -251,6 +251,34 @@ def test_lanczos_matches_lapack(g):
             assert res.lambda1 == 0.0
 
 
+@pytest.mark.parametrize("spec", [("random", 2000, 0.01, s) for s in
+                                  range(1, 6)] + [("cycle", 100000)],
+                         ids=[f"G2000s{s}" for s in range(1, 6)] + ["C100000"])
+def test_lanczos_keeps_the_summed_tridiagonal_matrix(monkeypatch, spec):
+    """The tridiagonal matrix Lanczos keeps between steps is, at each step,
+    the sum np.diag(d) + np.diag(o, 1) + np.diag(o, -1) of its diagonals,
+    byte for byte and with no -0.0 on the diagonal; solving that sum in its
+    place leaves lambda1, the residual and the step count bit-identical."""
+    gen = {"random": gen_random, "cycle": gen_cycle}[spec[0]]
+    am = build_alpha_matrix(gen(*spec[1:]), 0.5)
+    kept = spectral_radius_lanczos(am)
+    eigh, sizes = np.linalg.eigh, []
+
+    def summed(t):
+        d, o = np.diag(t).copy(), np.diag(t, 1).copy()
+        fresh = np.diag(d) + np.diag(o, 1) + np.diag(o, -1)
+        assert fresh.tobytes() == np.ascontiguousarray(t).tobytes()
+        assert not np.signbit(d[d == 0.0]).any()
+        sizes.append(len(t))
+        return eigh(fresh)
+
+    monkeypatch.setattr(np.linalg, "eigh", summed)
+    res = spectral_radius_lanczos(am)
+    assert sizes == list(range(1, kept.iterations + 1))
+    assert (res.lambda1.hex(), res.residual.hex(), res.iterations) == (
+        kept.lambda1.hex(), kept.residual.hex(), kept.iterations)
+
+
 def test_power_nonzero_matvec_matches_dense_product():
     """The power path reads the edge array; on a graph with isolated
     vertices and zero rows it still agrees with LAPACK."""
