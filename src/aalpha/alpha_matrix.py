@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .bounds import check_alpha
-from .csvtext import real_cells, rows
+from .csvtext import distinct_cells, rows
 from .errors import InputError
 from .graphs import Graph
 
@@ -103,13 +103,15 @@ def matvec(am: AlphaMatrix, x) -> np.ndarray:
 def matrix_csv(am: AlphaMatrix) -> str:
     """Matrix entries as n CSV lines at full float64 precision (%.17g),
     made as report rows are: the cells of a block of matrix rows, about
-    _CSV_CELLS entries, then that block's text (aalpha.csvtext)."""
+    _CSV_CELLS entries, then that block's text (aalpha.csvtext). An alpha
+    matrix holds few distinct values (0, 1 - alpha and alpha times each
+    degree), so each is formatted once."""
     n = am.n
     seps = [b"", *[b","] * (n - 1), b"\n"]
     step, text = max(1, _CSV_CELLS // max(n, 1)), []
     for lo in range(0, n, step):
         block = am.matrix[lo:lo + step]
-        cells, keep = (a.reshape(len(block), n, -1)
-                       for a in real_cells(block.ravel()))
+        cells, keep = (a.reshape(len(block), n, -1) for a in distinct_cells(
+            block.ravel(), lambda v: "%.17g" % v))
         text.append(rows([(cells[:, j], keep[:, j]) for j in range(n)], seps))
     return "".join(text)

@@ -70,6 +70,13 @@ def _degrees(edges: np.ndarray, n: int) -> np.ndarray:
     return degrees
 
 
+def _ascending(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each pair (u[i + 1], v[i + 1]) comes after (u[i], v[i]) in
+    lexicographic order, by exact integer comparison."""
+    a, b = u[1:], u[:-1]
+    return (a > b) | ((a == b) & (v[1:] > v[:-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple graph: ``edges`` a read-only (m, 2) int64 array of
@@ -86,12 +93,10 @@ class Graph:
         e = pairs = _int_pairs(self.edges)
         u, v = pairs[:, 0], pairs[:, 1]
         bad = (u < 0) | (u >= v) | (v >= n)
-        z = u + 1j * v  # complex numbers order lexicographically, exactly < 2**53
-        if np.count_nonzero(z[1:] <= z[:-1]):  # out of order, or a repeat
-            order = z.argsort(kind="stable")  # a repeat sorts after its first
-            z = z[order]
-            bad[order[1:][z[1:] == z[:-1]]] = True
+        if not _ascending(u, v).all():  # out of order, or a repeat
+            order = np.lexsort((v, u))  # stable: a repeat sorts after its first
             e = pairs.take(order, axis=0)
+            bad[order[1:][~_ascending(*e.T)]] = True
         if np.count_nonzero(bad):  # the first in the given order is named
             u, v = pairs[bad.argmax()].tolist()
             raise InputError(
@@ -137,8 +142,10 @@ def from_edge_list(n: int, edges) -> Graph:
     """Graph on n vertices from undirected pairs in either order; duplicates
     collapse, and Graph refuses loops and endpoints outside 0..n-1."""
     pairs = np.sort(_int_pairs(edges), axis=1)
-    first = np.unique(pairs[:, 0] + 1j * pairs[:, 1], return_index=True)[1]
-    return Graph(n, pairs[np.sort(first)])  # first occurrences, in order
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # stable: firsts lead
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = _ascending(*pairs.take(order, axis=0).T)
+    return Graph(n, pairs[np.sort(order[first])])  # first occurrences, in order
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

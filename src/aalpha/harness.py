@@ -16,21 +16,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alpha_matrix import _assemble, build_alpha_matrix
 from .bounds import (ORDERINGS, Ordering, _classify_codes, _f_kernel,
                      _g_kernel, _numeric_code, check_alpha, check_int,
                      check_seq)
-from .errors import ConvergenceError, InputError
+from .errors import InputError
 from .graphs import (Graph, add_isolated, emit_graph6, from_edge_list,
                      gen_complete, gen_cycle, gen_random, gen_star,
                      is_connected, is_star)
 # Imported for perfbench's hooks, which find them on this module:
+from .alpha_matrix import build_alpha_matrix  # noqa: F401
 from .graphs import degree_profile  # noqa: F401
 from .reports import emit_report, parse_report, render_report  # noqa: F401
+from .spectral import spectral_radius  # noqa: F401
 from .reports import (SWEEP_COLUMNS, VERIFICATION_COLUMNS, ReportTable,
                       VerificationRecord)
-from .spectral import (DISPATCH_DENSE_LIMIT, _default_method,
-                       spectral_radii_dense, spectral_radius)
+from .spectral import spectral_radii
 
 BOUND_SLACK = 1e-8
 EQUALITY_TOL = 1e-8
@@ -114,52 +114,13 @@ def default_graph_id(g: Graph) -> str:
     return f"n{g.n}-m{g.edge_count}"
 
 
-def _lambda1s(graphs, alphas, method: str | None, graph_ids) -> np.ndarray:
-    """lambda1 of each graph's alpha matrix at each alpha (checked floats),
-    as a (len(graphs), len(alphas)) array. The graphs share n: _check calls
-    this once per vertex count.
-
-    On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
-    vertices, or method "dense") the matrices of all the graphs, graph by
-    graph and alpha by alpha, form one stack, solved with one LAPACK call
-    per DISPATCH_DENSE_LIMIT**2 entries, so no call holds more than the
-    biggest single dense matrix. A split may fall inside a graph's alphas.
-    A forced "jacobi", "power" or "lanczos", and every graph above the
-    limit, get one spectral_radius call per alpha. A ConvergenceError is
-    re-raised naming each graph_id in the failed call with its alphas there.
-    """
-    n, k = graphs[0].n, len(alphas)
-    dense = (_default_method(n) if method is None else method) == "dense"
-    step = max(1, DISPATCH_DENSE_LIMIT ** 2 // n ** 2) if dense else 1
-    total = len(graphs) * k
-    lams = np.empty(total)
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        try:
-            if dense:
-                lams[lo:hi] = spectral_radii_dense(
-                    _assemble(graphs, alphas, lo, hi))[0]
-            else:
-                lams[lo] = spectral_radius(build_alpha_matrix(
-                    graphs[lo // k], alphas[lo % k]), method).lambda1
-        except ConvergenceError as exc:
-            at = "; ".join(
-                f"{graph_ids[i]} at alpha="
-                + ", ".join(map(str, alphas[max(lo - i * k, 0):hi - i * k]))
-                for i in range(lo // k, (hi - 1) // k + 1))
-            raise ConvergenceError(
-                f"eigensolver failed on {at}: {exc}", estimate=exc.estimate,
-                residual=exc.residual, iterations=exc.iterations) from exc
-    return lams.reshape(len(graphs), k)
-
-
 def _check(graphs, graph_ids, alphas,
            method: str | None = None) -> ReportTable:
     """The bound checks of graphs (each n >= 2) at alphas (checked floats),
     the one check of every campaign, as a verification table: graph by
     graph and alpha by alpha, the graphs grouped by vertex count in
-    first-seen order. _lambda1s solves a group at a time, which is let go
-    once checked; f, g and the three checks are computed over the (graph,
+    first-seen order. spectral_radii solves a group at a time, which is let
+    go once checked; f, g and the three checks are computed over the (graph,
     alpha) array at once, each equal bit for bit to its value at one point.
     """
     groups = {}  # n -> [(graph, graph_id)], in first-seen order
@@ -172,7 +133,7 @@ def _check(graphs, graph_ids, alphas,
     k, ids_seen, per_graph, lams = len(alphas), [], {}, []
     for n in list(groups):
         gs, ids = zip(*groups.pop(n))
-        lams.append(_lambda1s(gs, alphas, method, ids))
+        lams.append(spectral_radii(gs, ids, alphas, method))
         ids_seen += ids
         degrees = np.array([g.degrees for g in gs])
         for name, values in dict(  # the per-graph columns but graph_id
@@ -207,8 +168,8 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     graphs, where g > 0 = lambda1 — verification_violations applies the
     edge-count exclusion. This is _check, every campaign's check, on one
     graph: on the dense path all the alphas go through one LAPACK call (one
-    per DISPATCH_DENSE_LIMIT**2 entries), and each lambda1 equals a solve of
-    that matrix alone, bit for bit. method None is the spectral_radius
+    per stack that spectral_radii allows), and each lambda1 equals a solve
+    of that matrix alone, bit for bit. method None is the spectral_radius
     dispatcher; "jacobi", "power" or "lanczos" force one call per alpha.
     """
     alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
@@ -243,8 +204,8 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
 
     Each alpha is checked once, and all the graphs go through one _check,
     verify_graph's code: one LAPACK call per vertex count, 13 for the
-    default campaign (n = 2..14), split only where a stack would pass
-    DISPATCH_DENSE_LIMIT**2 entries, which may be inside a graph's alphas.
+    default campaign (n = 2..14), split only where spectral_radii's stack
+    would grow too big, which may be inside a graph's alphas.
     Every record equals verify_graph's for its graph, bit for bit.
     """
     n_values = check_seq("n_values", n_values)

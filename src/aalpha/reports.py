@@ -203,9 +203,12 @@ class ReportTable:
         return len(next(iter(self.columns.values())))
 
     def __iter__(self):
-        return itertools.starmap(_KINDS[self.kind], zip(*(
-            _values(self.columns[name], cell.members)
-            for name, cell in _schema(_KINDS[self.kind]).items())))
+        record = _KINDS[self.kind]  # made _BLOCK_ROWS records at a time
+        for start in range(0, len(self), _BLOCK_ROWS):
+            yield from itertools.starmap(record, zip(*(
+                _values(self.columns[name][start:start + _BLOCK_ROWS],
+                        cell.members)
+                for name, cell in _schema(record).items())))
 
     def __getitem__(self, index):
         if isinstance(index, (slice, np.ndarray)):
@@ -309,13 +312,11 @@ def emit_report(records, format: str = "csv", path=None,
 
 def _decode(column: np.ndarray, names: tuple[str, ...]):
     """Position in names of each cell of a bytes column, or None when some
-    cell is not a name."""
-    order = np.argsort(names)
-    ordered = np.array(names, dtype=column.dtype)[order]
-    pos = np.searchsorted(ordered, column).clip(0, len(names) - 1)
-    if not np.array_equal(ordered[pos], column):
-        return None
-    return order[pos]
+    cell is not a name: one comparison of the column per name."""
+    codes = np.full(len(column), -1, np.int8)
+    for i, name in enumerate(names):
+        codes[column == name.encode()] = i
+    return None if (codes < 0).any() else codes
 
 
 def _misfit(cell: _Cell, values: list, keys: tuple, types=()) -> int | None:

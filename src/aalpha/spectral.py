@@ -6,11 +6,11 @@ largest eigenvalue, which every solver here targets directly. The dispatcher
 sends n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric eigensolver through
 numpy.linalg.eigh and larger graphs to Lanczos over the graph's edge array,
 which stops on an enclosure of lambda1 rather than on a residual. The dense
-solver takes a (k, n, n) stack of matrices in one LAPACK call, so a campaign
-solves all the graphs of one vertex count together; a single matrix is a
-stack of one. Cyclic Jacobi and shifted power iteration share no code with
-each other or with LAPACK; each is an oracle for the others. Power iteration
-and Lanczos apply the matrix through one matrix-free operator.
+solver takes a (k, n, n) stack of matrices in one LAPACK call, so
+spectral_radii solves the graphs of one vertex count together; a single
+matrix is a stack of one. Cyclic Jacobi and shifted power iteration share
+no code with each other or with LAPACK; each is an oracle for the others.
+Power iteration and Lanczos apply the matrix through one matrix-free operator.
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_matrix import AlphaMatrix
+from .alpha_matrix import AlphaMatrix, _assemble
 from .errors import ConvergenceError, InputError
 
 JACOBI_MAX_SWEEPS = 100
@@ -281,3 +281,42 @@ def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult
         raise InputError(f"unknown method {method!r}, expected {names} "
                          f"or {METHODS[-1]!r}")
     return globals()["spectral_radius_" + method](m)
+
+
+def spectral_radii(graphs, graph_ids, alphas,
+                   method: str | None = None) -> np.ndarray:
+    """lambda1 of each graph's alpha matrix at each alpha (checked floats),
+    as a (len(graphs), len(alphas)) array. The graphs share n.
+
+    On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
+    vertices, or method "dense") the matrices of all the graphs, graph by
+    graph and alpha by alpha, form one stack, solved with one LAPACK call
+    per DISPATCH_DENSE_LIMIT**2 entries, so no call holds more than the
+    biggest single dense matrix. A split may fall inside a graph's alphas.
+    Any other method, and every graph above the limit, get one
+    spectral_radius call per alpha. A ConvergenceError is re-raised naming
+    each of graph_ids in the failed call with its alphas there.
+    """
+    n, k = graphs[0].n, len(alphas)
+    dense = (_default_method(n) if method is None else method) == "dense"
+    step = max(1, DISPATCH_DENSE_LIMIT ** 2 // n ** 2) if dense else 1
+    total = len(graphs) * k
+    lams = np.empty(total)
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        try:
+            if dense:
+                lams[lo:hi] = spectral_radii_dense(
+                    _assemble(graphs, alphas, lo, hi))[0]
+            else:
+                lams[lo] = spectral_radius(AlphaMatrix(
+                    graphs[lo // k], alphas[lo % k]), method).lambda1
+        except ConvergenceError as exc:
+            at = "; ".join(
+                f"{graph_ids[i]} at alpha="
+                + ", ".join(map(str, alphas[max(lo - i * k, 0):hi - i * k]))
+                for i in range(lo // k, (hi - 1) // k + 1))
+            raise ConvergenceError(
+                f"eigensolver failed on {at}: {exc}", estimate=exc.estimate,
+                residual=exc.residual, iterations=exc.iterations) from exc
+    return lams.reshape(len(graphs), k)

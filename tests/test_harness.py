@@ -17,6 +17,7 @@ import pytest
 import aalpha.alpha_matrix as alpha_matrix_mod
 import aalpha.harness as harness_mod
 import aalpha.reports as reports_mod
+import aalpha.spectral as spectral_mod
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, EQUALITY_TOL,
                     Graph, InputError, Ordering, STRICTNESS_ALPHAS,
                     ReportTable, SweepRecord, SWEEP_COLUMNS,
@@ -180,7 +181,7 @@ def test_verify_graph_wraps_solver_failure(monkeypatch):
         raise ConvergenceError("synthetic stall", estimate=1.25,
                                residual=0.5, iterations=7)
 
-    monkeypatch.setattr(harness_mod, "spectral_radii_dense", boom)
+    monkeypatch.setattr(spectral_mod, "spectral_radii_dense", boom)
     with pytest.raises(ConvergenceError) as ei:
         harness_mod.verify_graph(gen_star(3), [0.5], graph_id="the-culprit")
     err = ei.value
@@ -205,7 +206,7 @@ def test_verify_graph_oracles_solve_per_alpha(monkeypatch, method):
                                    residual=0.5, iterations=7)
         return spectral_radius(am, method)
 
-    monkeypatch.setattr(harness_mod, "spectral_radius", boom)
+    monkeypatch.setattr(spectral_mod, "spectral_radius", boom)
     with pytest.raises(ConvergenceError) as ei:
         harness_mod.verify_graph(g, alphas, method=method,
                                  graph_id="the-culprit")
@@ -324,7 +325,7 @@ def test_random_campaign_one_lapack_call_per_vertex_count(monkeypatch):
     assert sum(k for k, _, _ in calls) == 1485
     calls.clear()
     limit = 20
-    monkeypatch.setattr(harness_mod, "DISPATCH_DENSE_LIMIT", limit)
+    monkeypatch.setattr(spectral_mod, "DISPATCH_DENSE_LIMIT", limit)
     patched = random_campaign()
     assert len(patched) == len(records)
     for got, want in zip(patched, records):
@@ -362,7 +363,7 @@ def _failing_stack(monkeypatch, n, call=0):
                                        residual=0.5, iterations=7)
         return spectral_radii_dense(stack)
 
-    monkeypatch.setattr(harness_mod, "spectral_radii_dense", boom)
+    monkeypatch.setattr(spectral_mod, "spectral_radii_dense", boom)
 
 
 def test_random_campaign_names_every_graph_in_a_failing_stack(monkeypatch):
@@ -386,7 +387,7 @@ def test_random_campaign_names_every_graph_in_a_failing_stack(monkeypatch):
     # Stacks of 20**2 // 3**2 = 44 matrices of n = 3 (9 draws of n = 2 + 1,
     # then 9 of n = 3): the second holds layers 44..87, from the last alpha
     # of the 9th graph to the third alpha of the 18th.
-    monkeypatch.setattr(harness_mod, "DISPATCH_DENSE_LIMIT", 20)
+    monkeypatch.setattr(spectral_mod, "DISPATCH_DENSE_LIMIT", 20)
     _failing_stack(monkeypatch, 3, call=1)
     with pytest.raises(ConvergenceError) as ei:
         random_campaign()
@@ -1067,8 +1068,9 @@ def _workloads(monkeypatch):
 def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
     """Every function a traced benchmark pass wraps is still there under the
     name it wraps, so dropping one fails here and not only in the benchmark.
-    harness keeps its degree_profile, emit_report, parse_report and
-    render_report imports for these hooks alone."""
+    harness keeps its build_alpha_matrix, degree_profile, emit_report,
+    parse_report, render_report and spectral_radius imports for these hooks
+    alone."""
     for name, workload in _workloads(monkeypatch).WORKLOADS.items():
         (tmp_path / name).mkdir()
         hooks = workload(0, "tiny", str(tmp_path / name)).hooks()
