@@ -4,7 +4,8 @@ adjacency matrices.
 alpha lies in [0, 1]: alpha = 0 gives the adjacency matrix, alpha = 1 the
 diagonal degree matrix, and alpha = 1/2 gives half the signless Laplacian.
 The matrix is symmetric and entrywise nonnegative, and its row sums equal
-the vertex degrees; .matrix is assembled on first read.
+the vertex degrees. .matrix is assembled on first read; matvec, the one
+product by the matrix, reads only the graph's edge and degree arrays.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from .bounds import check_alpha
 from .csvtext import distinct_cells, rows
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _Holding
 
 _CSV_CELLS = 1 << 16  # matrix entries matrix_csv formats at a time
 
@@ -60,11 +61,12 @@ def _assemble(graphs, alphas, start: int = 0,
     A slice may begin and end inside a graph's alphas. Each entry is one
     IEEE operation, as in a matrix built alone: 1 - alpha on an edge,
     alpha * degree on the diagonal. So each layer equals that matrix bit
-    for bit.
+    for bit. A stack that numpy cannot allocate raises InputError naming n.
     """
     k, n = len(alphas), graphs[0].n
     stop = len(graphs) * k if stop is None else stop
-    m = np.zeros((stop - start, n, n))
+    with _Holding(n):
+        m = np.zeros((stop - start, n, n))
     if stop == start:
         return m
     which, at = np.divmod(np.arange(start, stop), k)
@@ -93,11 +95,26 @@ def build_alpha_matrix(g: Graph, alpha: float) -> AlphaMatrix:
 
 
 def matvec(am: AlphaMatrix, x) -> np.ndarray:
-    """Product am.matrix @ x for a length-n vector."""
+    """Product am.matrix @ x for a length-n vector, read from the graph's
+    edge and degree arrays without building am.matrix: O(n + m) time, and
+    no memory beyond the product and its temporaries.
+
+    Each row is summed as a row-major scan of am.matrix would sum it: from
+    0.0, the edges (u, r) below the diagonal, then (r, r), then the edges
+    (r, v) above it. The edge array is sorted with u < v, so np.bincount
+    over v adds the first run in column order, and np.add.at over u, which
+    adds in index order, the last. Power iteration and Lanczos run on this
+    product and give the results of a run over am.matrix, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (am.n,):
         raise InputError(f"vector shape {x.shape} does not match n = {am.n}")
-    return am.matrix @ x
+    u, v = am.graph.edges.T
+    off = 1.0 - am.alpha
+    y = (np.bincount(v, weights=off * x[u], minlength=am.n)
+         + am.alpha * am.degrees * x)
+    np.add.at(y, u, off * x[v])
+    return y
 
 
 def matrix_csv(am: AlphaMatrix) -> str:

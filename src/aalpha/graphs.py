@@ -140,12 +140,22 @@ class DegreeProfile:
 
 def from_edge_list(n: int, edges) -> Graph:
     """Graph on n vertices from undirected pairs in either order; duplicates
-    collapse, and Graph refuses loops and endpoints outside 0..n-1."""
-    pairs = np.sort(_int_pairs(edges), axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))  # stable: firsts lead
+    collapse, and Graph refuses loops and endpoints outside 0..n-1.
+
+    Graph gets the pairs sorted once, with repeats dropped, so it need not
+    sort them again. Only if it refuses them is it handed the first
+    occurrences in the given order, so that its message names the first
+    bad pair of the input."""
+    e = np.sort(_int_pairs(edges), axis=1)
+    order = np.lexsort((e[:, 1], e[:, 0]))  # stable: firsts lead
+    e = e.take(order, axis=0)
     first = np.ones(len(order), dtype=bool)
-    first[1:] = _ascending(*pairs.take(order, axis=0).T)
-    return Graph(n, pairs[np.sort(order[first])])  # first occurrences, in order
+    first[1:] = _ascending(*e.T)
+    e, order = e[first], order[first]
+    try:
+        return Graph(n, e)
+    except InputError:
+        return Graph(n, e[np.argsort(order)])
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

@@ -10,7 +10,10 @@ solver takes a (k, n, n) stack of matrices in one LAPACK call, so
 spectral_radii solves the graphs of one vertex count together; a single
 matrix is a stack of one. Cyclic Jacobi and shifted power iteration share
 no code with each other or with LAPACK; each is an oracle for the others.
-Power iteration and Lanczos apply the matrix through one matrix-free operator.
+Power iteration and Lanczos apply the matrix through alpha_matrix.matvec,
+which reads the graph's edge and degree arrays, holds no arrays of its own,
+and sums each row as a row-major scan of the dense matrix does; this module
+holds solvers only.
 """
 
 import math
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_matrix import AlphaMatrix, _assemble
+from .alpha_matrix import AlphaMatrix, _assemble, matvec
 from .errors import ConvergenceError, InputError
 
 JACOBI_MAX_SWEEPS = 100
@@ -125,27 +128,6 @@ def spectral_radius_jacobi(m: AlphaMatrix) -> SpectralResult:
     return SpectralResult(float(np.max(np.diag(a))), "jacobi", off, sweeps)
 
 
-def _operator(m: AlphaMatrix):
-    """m.matrix @ x as a function of x, read from the graph's edge and degree
-    arrays without building m.matrix: O(n + m) memory and time.
-
-    Row r is laid out as the edges (u, r) below the diagonal, then (r, r),
-    then the edges (r, v) above it. The edge array is sorted with u < v, so
-    each run of edges is already in column order, and np.bincount sums each
-    row as a row-major scan of m.matrix would, with no sort: power
-    iteration and Lanczos give the results of a run over m.matrix, bit for
-    bit.
-    """
-    n = m.n
-    if n < 1:
-        raise InputError("spectral radius needs at least one vertex")
-    (u, v), idx = m.graph.edges.T, np.arange(n)
-    rows, cols = np.concatenate((v, idx, u)), np.concatenate((u, idx, v))
-    off = np.full(len(u), 1.0 - m.alpha)
-    vals = np.concatenate((off, m.alpha * m.degrees, off))
-    return lambda x: np.bincount(rows, weights=vals * x[cols], minlength=n)
-
-
 def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
     """Power iteration on the shifted matrix m + Delta*I.
 
@@ -159,10 +141,11 @@ def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
     package builds. Stops when successive Rayleigh estimates differ by at most
     POWER_TOL and the residual ||m v - est v|| is at most 10*POWER_TOL, or
     raises ConvergenceError after POWER_MAX_ITER iterations. The matrix is
-    applied by _operator, so m.matrix is never built.
+    applied by alpha_matrix.matvec, so m.matrix is never built.
     """
-    apply = _operator(m)
     n = m.n
+    if n < 1:
+        raise InputError("spectral radius needs at least one vertex")
     shift = float(m.max_degree)
     v = 1.0 + 1e-3 * (np.arange(1, n + 1) / n)
     v /= np.linalg.norm(v)
@@ -170,7 +153,7 @@ def spectral_radius_power(m: AlphaMatrix) -> SpectralResult:
     est = 0.0
     resid = math.inf
     for it in range(1, POWER_MAX_ITER + 1):
-        av = apply(v)
+        av = matvec(m, v)
         est = float(v @ av)
         resid = float(np.linalg.norm(av - est * v))
         if abs(est - prev) <= POWER_TOL and resid <= 10.0 * POWER_TOL:
@@ -218,15 +201,16 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
     enclosure needs a nonnegative matrix, which AlphaMatrix guarantees by
     holding alpha in [0, 1].
     """
-    apply = _operator(m)
     n, cap, shift = m.n, LANCZOS_MAX_STEPS, float(m.max_degree)
+    if n < 1:
+        raise InputError("spectral radius needs at least one vertex")
     basis = np.empty((1, n))
     basis[0] = 1.0 / math.sqrt(n)
     t = np.zeros((1, 1))  # the tridiagonal matrix, grown with the basis
     floor = None
     for k in range(1, cap + 1):
         q = basis[:k]
-        w = apply(q[-1])
+        w = matvec(m, q[-1])
         scale = float(np.linalg.norm(w))
         c = q @ w
         w -= c @ q
@@ -240,13 +224,13 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
                 or beta * abs(s[-1]) <= POWER_TOL * max(1.0, theta[-1])):
             x = s @ q
             x /= np.linalg.norm(x)
-            ax = apply(x)
+            ax = matvec(m, x)
             lo = float(x @ ax)
             resid = float(np.linalg.norm(ax - lo * x))
             if floor is None:
                 floor = np.full(n, _FLOOR * float(x.max()))
             y = np.maximum(x, floor)
-            ay = apply(y)
+            ay = matvec(m, y)
             hi = float(np.max(ay / y))
             if invariant or hi - lo <= POWER_TOL * max(1.0, lo):
                 return SpectralResult(lo, "lanczos", resid, k)
@@ -254,7 +238,7 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
         if k < cap:
             if k == len(basis):
                 more = min(k, cap - k)
-                basis = np.concatenate((basis, np.empty((more, n))))
+                basis = np.pad(basis, ((0, more), (0, 0)))
                 t = np.pad(t, (0, more))
             basis[k] = w / beta
             t[k - 1, k] = t[k, k - 1] = beta

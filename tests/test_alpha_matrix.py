@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from aalpha import (Graph, InputError, alpha_stack, build_alpha_matrix,
-                    gen_complete, gen_random, gen_star, matrix_csv, matvec)
+                    gen_complete, gen_cycle, gen_random, gen_star, matrix_csv,
+                    matvec)
 from aalpha.alpha_matrix import _assemble
 
 DYADIC_ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -91,6 +92,23 @@ def test_matvec_shape_and_value():
     assert np.array_equal(matvec(am, x), am.matrix @ x)
     with pytest.raises(InputError):
         matvec(am, np.ones(6))
+
+
+def test_matvec_never_builds_the_matrix():
+    """matvec reads the edge and degree arrays: on a cycle of 10**6
+    vertices, whose dense matrix numpy cannot allocate (7.28 TiB), the
+    product of all-ones is the degree array, and it peaks at 24 MB."""
+    am = build_alpha_matrix(gen_cycle(10**6), 0.5)
+    x = np.ones(am.n)
+    tracemalloc.start()
+    try:
+        y = matvec(am, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(y, am.degrees)
+    assert "matrix" not in am.__dict__
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_matrix_csv():

@@ -215,9 +215,10 @@ def test_spectral_cycle_100000(capsys):
     assert abs(float(got["lambda1"]) - 2.0) <= 1e-10
     assert got["method"] == "lanczos"
     assert got["iterations"] == "1"
-    # The solve holds O(n + m) arrays, 15.2 MB at its peak: the operator's
-    # three arrays of 2m + n entries and its product take 12 MB. No n x n
-    # matrix (80 GB) and no LANCZOS_MAX_STEPS x n basis (240 MB) is made.
+    # The solve holds O(n + m) arrays, 7.2 MB at its peak: matvec holds no
+    # arrays of its own, only its product and the temporaries of one
+    # product over the edge array. No n x n matrix (80 GB) and no
+    # LANCZOS_MAX_STEPS x n basis (240 MB) is made.
     # The graph is built first: gen_cycle's own peak is not the solver's.
     g = gen_cycle(100000)
     tracemalloc.start()
@@ -384,7 +385,14 @@ def test_non_ascii_input_exits_two(capsys, tmp_path, flag, data):
     (("spectral", "--edgelist", "{path}", "--alpha", "0.5"),
      "9223372036854775807 0\n",
      "cannot hold a graph on n = 9223372036854775807 vertices: "),
-], ids=["empty-graph6", "huge-endpoint", "empty-alphas", "huge-n"])
+    # The dense matrix of a graph that is cheap to hold: 7.28 TiB at n = 10**6.
+    (("spectral", "--gen", "cycle:1000000", "--alpha", "0.5", "--method",
+      "dense"), "", "cannot hold a graph on n = 1000000 vertices: "),
+    (("verify", "--gen", "cycle:1000000", "--alphas", "0.5", "--method",
+      "dense", "--out", "{path}.csv"), "",
+     "cannot hold a graph on n = 1000000 vertices: "),
+], ids=["empty-graph6", "huge-endpoint", "empty-alphas", "huge-n",
+        "huge-dense", "huge-dense-verify"])
 def test_input_error_messages(capsys, tmp_path, argv, text, message):
     path = tmp_path / "graph.txt"
     path.write_text(text)

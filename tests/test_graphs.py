@@ -104,13 +104,18 @@ def test_from_edge_list_normalizes():
         from_edge_list(3, [(0, 0)])
     with pytest.raises(InputError):
         from_edge_list(3, [(0, 5)])
+    # The message names the first bad pair of the input, not of sorted order.
+    with pytest.raises(InputError, match=r"^edge \(2, 7\) is not an ordered"):
+        from_edge_list(3, [(0, 1), (7, 2), (1, 0), (1, 1), (0, 9)])
+    with pytest.raises(InputError, match=r"^self-loop \(1, 1\) is not allowed"):
+        from_edge_list(3, [(1, 1), (0, 9)])
 
 
 def test_edges_past_2_53_compare_exactly(monkeypatch):
     """Order and repeats are decided on the integers themselves, not on
     float64 keys: edges that differ past 53 bits are two edges, in either
     order (and then n is named as too big to hold), a true repeat is still
-    named, and from_edge_list keeps the first of each in the given order."""
+    named, and from_edge_list hands Graph each pair once, in sorted order."""
     n, big = 2 ** 60, 2 ** 53
     for edges in ([(0, big), (0, big + 1)], [(0, big + 1), (0, big)]):
         with pytest.raises(InputError,
@@ -122,7 +127,7 @@ def test_edges_past_2_53_compare_exactly(monkeypatch):
     seen = []
     monkeypatch.setattr(graphs_mod, "Graph", lambda n, e: seen.append(e))
     from_edge_list(n, [(big + 1, 0), (0, big), (0, big + 1), (big, 0)])
-    assert seen[0].tolist() == [[0, big + 1], [0, big]]
+    assert seen[0].tolist() == [[0, big], [0, big + 1]]
 
 
 @pytest.mark.parametrize("bad", [("a", 1), (None, 1)])

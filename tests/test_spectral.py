@@ -11,7 +11,7 @@ import aalpha.spectral as spectral_mod
 from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, Graph, InputError,
                     SpectralResult, add_isolated, alpha_stack,
                     build_alpha_matrix, from_edge_list, gen_circulant,
-                    gen_complete, gen_cycle, gen_random, gen_star,
+                    gen_complete, gen_cycle, gen_random, gen_star, matvec,
                     spectral_radii_dense, spectral_radius,
                     spectral_radius_dense, spectral_radius_jacobi,
                     spectral_radius_lanczos, spectral_radius_power)
@@ -165,6 +165,20 @@ def test_dispatcher_uses_lanczos_above_limit():
     assert res.method == "lanczos"
     from aalpha import bound_g
     assert abs(res.lambda1 - bound_g(149, 0.5)) <= 1e-8
+
+
+def test_lanczos_cycle_memory():
+    """Lanczos on a cycle of 10**5 vertices peaks at 7.2 MB: its one basis
+    row, the product and the product's temporaries over the edge array."""
+    g = gen_cycle(10**5)
+    tracemalloc.start()
+    try:
+        res = spectral_radius(build_alpha_matrix(g, 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "lanczos" and res.iterations == 1
+    assert peak < 9_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_power_convergence_error(monkeypatch):
@@ -336,10 +350,11 @@ def test_power_matches_the_dense_scan_bit_for_bit(monkeypatch):
 
 
 def test_operator_is_the_row_major_scan():
-    """The matrix-free operator sums each row in the order a scan of the
-    dense matrix's nonzero entries does, for any x: Lanczos feeds it basis
-    vectors with negative entries, not only power iteration's positive
-    iterates. The last graph is above the dense limit."""
+    """matvec, the one product by an alpha matrix, sums each row in the
+    order a scan of the dense matrix's nonzero entries does, for any x:
+    Lanczos feeds it basis vectors with negative entries, not only power
+    iteration's positive iterates. The last graph is above the dense
+    limit."""
     graphs = (add_isolated(gen_random(60, 0.1, 5), 7), gen_star(6),
               Graph(5, ()), gen_complete(2), Graph(1, ()),
               add_isolated(gen_random(1500, 0.005, 3), 30))
@@ -350,7 +365,7 @@ def test_operator_is_the_row_major_scan():
             am = build_alpha_matrix(g, alpha)
             r, c = np.nonzero(am.matrix)
             ref = np.bincount(r, am.matrix[r, c] * x[c], minlength=g.n)
-            assert spectral_mod._operator(am)(x).tobytes() == ref.tobytes()
+            assert matvec(am, x).tobytes() == ref.tobytes()
 
 
 def test_dense_stack_matches_single_solves():
