@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import check_alpha
+from .bounds import check_alpha, check_seq
 from .csvtext import distinct_cells, rows
 from .errors import InputError
 from .graphs import Graph, _Holding
@@ -47,46 +47,40 @@ class AlphaMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:  # (n, n) float64, read-only
-        m = _assemble([self.graph], (self.alpha,))[0]
+        m = _assemble([(self.graph, (self.alpha,))])[0]
         m.flags.writeable = False
         return m
 
 
-def _assemble(graphs, alphas, start: int = 0,
-              stop: int | None = None) -> np.ndarray:
-    """Layers start..stop of the stack that holds each graph's matrix at
-    each alpha in turn: layer i is graphs[i // k] at alphas[i % k], for
-    k = len(alphas). The graphs share n, and the alphas are checked floats.
+def _assemble(runs) -> np.ndarray:
+    """The stack of each run's graph at each of its alphas in turn, for runs
+    of (graph, alphas) pairs whose graphs share n and whose alphas are
+    checked floats.
 
-    A slice may begin and end inside a graph's alphas. Each entry is one
-    IEEE operation, as in a matrix built alone: 1 - alpha on an edge,
-    alpha * degree on the diagonal. So each layer equals that matrix bit
-    for bit. A stack that numpy cannot allocate raises InputError naming n.
+    Each entry is one IEEE operation, as in a matrix built alone: 1 - alpha
+    on an edge, alpha * degree on the diagonal. So each layer equals that
+    matrix bit for bit. A stack that numpy cannot allocate raises InputError
+    naming the dense n x n matrix and n.
     """
-    k, n = len(alphas), graphs[0].n
-    stop = len(graphs) * k if stop is None else stop
-    with _Holding(n):
-        m = np.zeros((stop - start, n, n))
-    if stop == start:
-        return m
-    which, at = np.divmod(np.arange(start, stop), k)
-    a = np.array(alphas, dtype=float)[at]
-    off = (1.0 - a)[:, None]
-    first, last = start // k, (stop - 1) // k + 1  # the graphs in the slice
-    for i in range(first, last):  # each fills its run of layers
-        u, v = graphs[i].edges.T
-        layers = slice(max(i * k - start, 0), (i + 1) * k - start)
+    n = runs[0][0].n
+    a = np.array([x for _, alphas in runs for x in alphas], dtype=float)
+    with _Holding(n, "the dense n x n matrix of a graph"):
+        m = np.zeros((len(a), n, n))
+    off, idx, lo = (1.0 - a)[:, None], np.arange(n), 0
+    for g, alphas in runs:  # each fills its run of layers
+        layers = slice(lo, lo + len(alphas))
+        u, v = g.edges.T
         m[layers, u, v] = m[layers, v, u] = off[layers]
-    degrees = np.array([g.degrees for g in graphs[first:last]])
-    idx = np.arange(n)
-    m[:, idx, idx] = a[:, None] * degrees[which - first]
+        m[layers, idx, idx] = a[layers, None] * g.degrees
+        lo = layers.stop
     return m
 
 
 def alpha_stack(g: Graph, alphas) -> np.ndarray:
     """alpha*D + (1 - alpha)*A of g for each alpha in turn, as one
-    (k, n, n) float64 array. Every alpha must lie in [0, 1]."""
-    return _assemble([g], [check_alpha(x) for x in alphas])
+    (k, n, n) float64 array. alphas is a sequence, each in [0, 1]."""
+    return _assemble([(g, [check_alpha(x)
+                           for x in check_seq("alphas", alphas)])])
 
 
 def build_alpha_matrix(g: Graph, alpha: float) -> AlphaMatrix:

@@ -46,19 +46,20 @@ def _int_pairs(edges) -> np.ndarray:
 
 class _Holding:
     """A context in which numpy's refusal of an array of a graph on n
-    vertices raises InputError naming n. (A generator-based context costs
-    three times as much, on every graph built.)"""
+    vertices raises InputError naming what it refused (by default the
+    graph) and n. (A generator-based context costs three times as much, on
+    every graph built.)"""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, n: int, what: str = "a graph"):
+        self.n, self.what = n, what
 
     def __enter__(self):
         pass
 
     def __exit__(self, kind, exc, trace):
         if kind and issubclass(kind, (ValueError, OverflowError, MemoryError)):
-            raise InputError(f"cannot hold a graph on n = {self.n} vertices: "
-                             f"{exc}") from None
+            raise InputError(f"cannot hold {self.what} on n = {self.n} "
+                             f"vertices: {exc}") from None
 
 
 def _degrees(edges: np.ndarray, n: int) -> np.ndarray:

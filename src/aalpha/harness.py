@@ -118,32 +118,23 @@ def _check(graphs, graph_ids, alphas,
            method: str | None = None) -> ReportTable:
     """The bound checks of graphs (each n >= 2) at alphas (checked floats),
     the one check of every campaign, as a verification table: graph by
-    graph and alpha by alpha, the graphs grouped by vertex count in
-    first-seen order. spectral_radii solves a group at a time, which is let
-    go once checked; f, g and the three checks are computed over the (graph,
-    alpha) array at once, each equal bit for bit to its value at one point.
+    graph, in the given order, and alpha by alpha. spectral_radii solves
+    them all in one call; f, g and the three checks are computed over the
+    (graph, alpha) array at once, each equal bit for bit to its value at
+    one point.
     """
-    groups = {}  # n -> [(graph, graph_id)], in first-seen order
-    for g, gid in zip(graphs, graph_ids):
+    for g in graphs:
         if g.n < 2:
             raise InputError(f"verification needs n >= 2, got n = {g.n}")
-        groups.setdefault(g.n, []).append((g, gid))
-    if not groups:
+    if not graphs:
         return ReportTable.from_records((), "verification")
-    k, ids_seen, per_graph, lams = len(alphas), [], {}, []
-    for n in list(groups):
-        gs, ids = zip(*groups.pop(n))
-        lams.append(spectral_radii(gs, ids, alphas, method))
-        ids_seen += ids
-        degrees = np.array([g.degrees for g in gs])
-        for name, values in dict(  # the per-graph columns but graph_id
-                n=[n] * len(gs), m=[g.edge_count for g in gs],
-                Delta=degrees.max(1), delta=degrees.min(1),
-                is_star=map(is_star, gs),
-                is_connected=map(is_connected, gs)).items():
-            per_graph.setdefault(name, []).extend(values)
-    lam = np.concatenate(lams)
-    per_graph = {name: np.array(values) for name, values in per_graph.items()}
+    lam, k = spectral_radii(graphs, graph_ids, alphas, method), len(alphas)
+    per_graph = {name: np.array(values) for name, values in dict(
+        n=[g.n for g in graphs], m=[g.edge_count for g in graphs],
+        Delta=[g.degrees.max() for g in graphs],
+        delta=[g.degrees.min() for g in graphs],
+        is_star=[is_star(g) for g in graphs],
+        is_connected=[is_connected(g) for g in graphs]).items()}
     # A row per graph and a column per alpha. The kernels square degree
     # gaps; in float64 that cannot wrap.
     a = np.array(alphas, dtype=np.float64)
@@ -151,7 +142,7 @@ def _check(graphs, graph_ids, alphas,
     f, gg = _f_kernel(fdelta, fDelta, a, np), _g_kernel(fDelta, a, np)
     columns = {name: np.repeat(c, k) for name, c in per_graph.items()}
     columns.update(
-        graph_id=np.repeat(np.array(ids_seen, dtype=object), k),
+        graph_id=np.repeat(np.array(graph_ids, dtype=object), k),
         alpha=np.tile(a, len(lam)), lambda1=lam.ravel(), f=f.ravel(),
         g=gg.ravel(), f_holds=(lam >= f - BOUND_SLACK).ravel(),
         g_holds=(lam >= gg - BOUND_SLACK).ravel(),
@@ -203,9 +194,9 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
     dispatcher; verify_graph's method forces an oracle on one graph.
 
     Each alpha is checked once, and all the graphs go through one _check,
-    verify_graph's code: one LAPACK call per vertex count, 13 for the
-    default campaign (n = 2..14), split only where spectral_radii's stack
-    would grow too big, which may be inside a graph's alphas.
+    verify_graph's code, and so one spectral_radii call: one LAPACK call
+    per vertex count, 13 for the default campaign (n = 2..14), split only
+    where a stack would grow too big, which may be inside a graph's alphas.
     Every record equals verify_graph's for its graph, bit for bit.
     """
     n_values = check_seq("n_values", n_values)
@@ -216,22 +207,22 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
     draws = [(n, p, s) for n in n_values for p in p_values for s in seeds]
     ids = [f"random:{n},{p},{seed}" + (f"+iso{k}" if k else "")
            for n, p, seed in draws for k in isolated_counts]
-    # Drawn as _check reads them, so that no graph outlives its group.
-    graphs = (add_isolated(base, k) if k else base
+    graphs = [add_isolated(base, k) if k else base
               for base in itertools.starmap(gen_random, draws)
-              for k in isolated_counts)
+              for k in isolated_counts]
     table = _check(graphs, ids, alphas)
     return table[np.lexsort((table.columns["alpha"],
                              table.columns["graph_id"]))]
 
 
 def _non_star_fixtures() -> list[tuple[str, Graph]]:
-    # Connected non-stars used for strictness: lambda1 must exceed g.
+    # Connected non-stars used for strictness, by vertex count: lambda1
+    # must exceed g.
     return [
         ("C4", gen_cycle(4)),
-        ("C5", gen_cycle(5)),
         ("K4", gen_complete(4)),
         ("P4", from_edge_list(4, [(0, 1), (1, 2), (2, 3)])),
+        ("C5", gen_cycle(5)),
         ("K23", from_edge_list(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])),
     ]
 
@@ -241,13 +232,13 @@ def certify_star_equality(Delta_max: int, alpha_steps: int) -> StarCertification
 
     For every Delta in [1, Delta_max] and alpha = k/alpha_steps the star
     K_{1,Delta} must pass the g_equality check, |lambda1 - g| <= 1e-8; the
-    fixed connected non-star set (C4, C5, K4, P4, K23) must satisfy
+    fixed connected non-star set (C4, K4, P4, C5, K23) must satisfy
     lambda1 > g + 1e-6 at alpha in {0, 0.25, 0.5, 0.75}. alpha = 1 is left
     out of the strictness set because lambda1 = Delta = g there for every
     graph. Verdicts, gap and margin are read off _check's columns, so the
-    failures list the stars, then the non-stars by vertex count (C4, K4,
-    P4, C5, K23), and LAPACK is called once per vertex count: 20 + 2 times
-    for certify_star_equality(20, 100).
+    failures list the stars, then the non-stars in that order, and LAPACK
+    is called once per vertex count: 20 + 2 times for
+    certify_star_equality(20, 100).
     """
     Delta_max = check_int("Delta_max", Delta_max, 1)
     alpha_steps = check_int("alpha_steps", alpha_steps, 1)

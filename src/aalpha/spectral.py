@@ -7,17 +7,19 @@ sends n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric eigensolver through
 numpy.linalg.eigh and larger graphs to Lanczos over the graph's edge array,
 which stops on an enclosure of lambda1 rather than on a residual. The dense
 solver takes a (k, n, n) stack of matrices in one LAPACK call, so
-spectral_radii solves the graphs of one vertex count together; a single
-matrix is a stack of one. Cyclic Jacobi and shifted power iteration share
-no code with each other or with LAPACK; each is an oracle for the others.
-Power iteration and Lanczos apply the matrix through alpha_matrix.matvec,
-which reads the graph's edge and degree arrays, holds no arrays of its own,
-and sums each row as a row-major scan of the dense matrix does; this module
-holds solvers only.
+spectral_radii, which takes graphs of any vertex counts, solves those of
+one vertex count together; a single matrix is a stack of one. Cyclic Jacobi
+and shifted power iteration share no code with each other or with LAPACK;
+each is an oracle for the others. Power iteration and Lanczos apply the
+matrix through alpha_matrix.matvec, which reads the graph's edge and degree
+arrays, holds no arrays of its own, and sums each row as a row-major scan
+of the dense matrix does; this module holds solvers only.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -270,37 +272,45 @@ def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult
 def spectral_radii(graphs, graph_ids, alphas,
                    method: str | None = None) -> np.ndarray:
     """lambda1 of each graph's alpha matrix at each alpha (checked floats),
-    as a (len(graphs), len(alphas)) array. The graphs share n.
+    as a (len(graphs), len(alphas)) array with rows in input order. The
+    graphs may have any vertex counts.
 
-    On the dense path (the dispatcher's choice up to DISPATCH_DENSE_LIMIT
-    vertices, or method "dense") the matrices of all the graphs, graph by
-    graph and alpha by alpha, form one stack, solved with one LAPACK call
-    per DISPATCH_DENSE_LIMIT**2 entries, so no call holds more than the
-    biggest single dense matrix. A split may fall inside a graph's alphas.
-    Any other method, and every graph above the limit, get one
+    The graphs of one vertex count are solved together, one count at a time
+    in first-seen order. Their layers, graph by graph and alpha by alpha,
+    are cut into calls. On the dense path (the dispatcher's choice up to
+    DISPATCH_DENSE_LIMIT vertices, or method "dense") a call is one LAPACK
+    stack of at most DISPATCH_DENSE_LIMIT**2 entries, so no call holds more
+    than the biggest single dense matrix; a cut may fall inside a graph's
+    alphas. Any other method, and every graph above the limit, get one
     spectral_radius call per alpha. A ConvergenceError is re-raised naming
     each of graph_ids in the failed call with its alphas there.
     """
-    n, k = graphs[0].n, len(alphas)
-    dense = (_default_method(n) if method is None else method) == "dense"
-    step = max(1, DISPATCH_DENSE_LIMIT ** 2 // n ** 2) if dense else 1
-    total = len(graphs) * k
-    lams = np.empty(total)
-    for lo in range(0, total, step):
-        hi = min(lo + step, total)
-        try:
-            if dense:
-                lams[lo:hi] = spectral_radii_dense(
-                    _assemble(graphs, alphas, lo, hi))[0]
-            else:
-                lams[lo] = spectral_radius(AlphaMatrix(
-                    graphs[lo // k], alphas[lo % k]), method).lambda1
-        except ConvergenceError as exc:
-            at = "; ".join(
-                f"{graph_ids[i]} at alpha="
-                + ", ".join(map(str, alphas[max(lo - i * k, 0):hi - i * k]))
-                for i in range(lo // k, (hi - 1) // k + 1))
-            raise ConvergenceError(
-                f"eigensolver failed on {at}: {exc}", estimate=exc.estimate,
-                residual=exc.residual, iterations=exc.iterations) from exc
-    return lams.reshape(len(graphs), k)
+    groups, k = {}, len(alphas)  # n -> the rows of its graphs
+    for i, g in enumerate(graphs):
+        groups.setdefault(g.n, []).append(i)
+    lams = np.empty((len(graphs), k))
+    for n, rows in groups.items():
+        dense = (_default_method(n) if method is None else method) == "dense"
+        step = max(1, DISPATCH_DENSE_LIMIT ** 2 // n ** 2) if dense else 1
+        layers = [(i, a) for i in rows for a in alphas]
+        out = np.empty(len(layers))
+        for lo in range(0, len(layers), step):
+            runs = [(i, [a for _, a in run]) for i, run in
+                    itertools.groupby(layers[lo:lo + step], itemgetter(0))]
+            try:
+                if dense:
+                    out[lo:lo + step] = spectral_radii_dense(_assemble(
+                        [(graphs[i], run) for i, run in runs]))[0]
+                else:
+                    i, a = layers[lo]
+                    out[lo] = spectral_radius(
+                        AlphaMatrix(graphs[i], a), method).lambda1
+            except ConvergenceError as exc:
+                at = "; ".join(f"{graph_ids[i]} at alpha="
+                               + ", ".join(map(str, run)) for i, run in runs)
+                raise ConvergenceError(
+                    f"eigensolver failed on {at}: {exc}",
+                    estimate=exc.estimate, residual=exc.residual,
+                    iterations=exc.iterations) from exc
+        lams[rows] = out.reshape(len(rows), k)
+    return lams

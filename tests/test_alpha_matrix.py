@@ -182,20 +182,22 @@ def test_alpha_stack_layers_are_the_single_matrices():
 
 
 def test_stack_of_many_graphs_slices_anywhere():
-    """The stack of several graphs of one n, each at every alpha in turn:
-    each layer equals its graph's matrix at its alpha, bit for bit, and a
-    slice may begin and end inside a graph's alphas."""
+    """The stack of (graph, alphas) runs of graphs of one n: each layer
+    equals its graph's matrix at its alpha, bit for bit, and a run may
+    begin and end inside a graph's alphas."""
     graphs = [gen_random(7, p, s) for p in (0.3, 0.8) for s in range(2)]
     graphs.insert(2, Graph(7, ()))
     alphas = DYADIC_ALPHAS + GENERIC_ALPHAS
     k = len(alphas)
-    full = _assemble(graphs, alphas)
+    full = _assemble([(g, alphas) for g in graphs])
     assert full.shape == (len(graphs) * k, 7, 7)
     for i, m in enumerate(full):
         assert m.tobytes() == build_alpha_matrix(
             graphs[i // k], alphas[i % k]).matrix.tobytes(), i
     for start, stop in ((0, 3), (4, 13), (k - 1, 3 * k + 2),
                         (k + 2, 3 * k + 1), (len(full) - 1, len(full))):
-        assert _assemble(graphs, alphas, start, stop).tobytes() == \
+        runs = [(g, alphas[max(start - i * k, 0):max(stop - i * k, 0)])
+                for i, g in enumerate(graphs)]
+        assert _assemble([run for run in runs if run[1]]).tobytes() == \
             full[start:stop].tobytes()
-    assert _assemble(graphs, ()).shape == (0, 7, 7)
+    assert _assemble([(graphs[0], ())]).shape == (0, 7, 7)

@@ -254,6 +254,7 @@ def test_integer_parameters_read_numpy_integers(param):
 # in its place.
 SEQ_PARAMS = {
     "verify_graph-alpha_list": lambda v: verify_graph(gen_cycle(4), v),
+    "alpha_stack-alphas": lambda v: alpha_stack(gen_cycle(4), v),
     "gen_circulant-offsets": lambda v: gen_circulant(6, v),
     "random_campaign-n_values": lambda v: random_campaign(n_values=v),
     "random_campaign-p_values": lambda v: random_campaign(p_values=v),

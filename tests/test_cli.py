@@ -387,10 +387,12 @@ def test_non_ascii_input_exits_two(capsys, tmp_path, flag, data):
      "cannot hold a graph on n = 9223372036854775807 vertices: "),
     # The dense matrix of a graph that is cheap to hold: 7.28 TiB at n = 10**6.
     (("spectral", "--gen", "cycle:1000000", "--alpha", "0.5", "--method",
-      "dense"), "", "cannot hold a graph on n = 1000000 vertices: "),
+      "dense"), "", "cannot hold the dense n x n matrix of a graph on "
+     "n = 1000000 vertices: "),
     (("verify", "--gen", "cycle:1000000", "--alphas", "0.5", "--method",
       "dense", "--out", "{path}.csv"), "",
-     "cannot hold a graph on n = 1000000 vertices: "),
+     "cannot hold the dense n x n matrix of a graph on n = 1000000 "
+     "vertices: "),
 ], ids=["empty-graph6", "huge-endpoint", "empty-alphas", "huge-n",
         "huge-dense", "huge-dense-verify"])
 def test_input_error_messages(capsys, tmp_path, argv, text, message):

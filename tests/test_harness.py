@@ -398,6 +398,37 @@ def test_random_campaign_names_every_graph_in_a_failing_stack(monkeypatch):
         "; random:3,0.8,2 at alpha=0.0, 0.25, 0.5: synthetic stall"
 
 
+def test_spectral_radii_takes_graphs_of_mixed_n(monkeypatch):
+    """Graphs of several vertex counts in one call come back in input
+    order, each lambda1 equal to a solve of that matrix alone, bit for bit.
+    LAPACK is called once per vertex count in first-seen order, and a
+    failure names only the graphs and alphas of the failed call."""
+    graphs = [gen_cycle(4), gen_star(5), gen_complete(4), Graph(5, ()),
+              gen_random(6, 0.5, 1)]
+    ids = ["C4", "S5", "K4", "E5", "R6"]
+    alphas = [0.0, 0.25, 0.5, 1.0]
+    calls = _counted_eigh(monkeypatch)
+    lams = spectral_mod.spectral_radii(graphs, ids, alphas)
+    assert calls == [(8, 4, 4), (8, 5, 5), (4, 6, 6)]
+    assert lams.shape == (5, 4)
+    for g, row in zip(graphs, lams):
+        assert row.tolist() == [_single_lambda1(g, a) for a in alphas]
+    full = "at alpha=0.0, 0.25, 0.5, 1.0"
+    _failing_stack(monkeypatch, 5)
+    with pytest.raises(ConvergenceError) as ei:
+        spectral_mod.spectral_radii(graphs, ids, alphas)
+    assert str(ei.value) == \
+        f"eigensolver failed on S5 {full}; E5 {full}: synthetic stall"
+    # Stacks of 12**2 // 5**2 = 5 matrices of n = 5: the second holds the
+    # last three alphas of E5.
+    monkeypatch.setattr(spectral_mod, "DISPATCH_DENSE_LIMIT", 12)
+    _failing_stack(monkeypatch, 5, call=1)
+    with pytest.raises(ConvergenceError) as ei:
+        spectral_mod.spectral_radii(graphs, ids, alphas)
+    assert str(ei.value) == \
+        "eigensolver failed on E5 at alpha=0.25, 0.5, 1.0: synthetic stall"
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"n_values": [1]}, "verification needs n >= 2, got n = 1"),
     ({"alpha_list": [0.5, 1.5]}, "need alpha in [0, 1], got 1.5"),
