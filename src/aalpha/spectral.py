@@ -3,17 +3,21 @@ path, plus two independent oracles.
 
 For a symmetric entrywise-nonnegative matrix the spectral radius equals the
 largest eigenvalue, which every solver here targets directly. The dispatcher
-sends n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric eigensolver through
-numpy.linalg.eigh and larger graphs to Lanczos over the graph's edge array,
-which stops on an enclosure of lambda1 rather than on a residual. The dense
-solver takes a (k, n, n) stack of matrices in one LAPACK call, so
-spectral_radii, which takes graphs of any vertex counts, solves those of
-one vertex count together; a single matrix is a stack of one. Cyclic Jacobi
-and shifted power iteration share no code with each other or with LAPACK;
-each is an oracle for the others. Power iteration and Lanczos apply the
-matrix through alpha_matrix.matvec, which reads the graph's edge and degree
-arrays, holds no arrays of its own, and sums each row as a row-major scan
-of the dense matrix does; this module holds solvers only.
+answers a d-regular graph exactly, lambda1 = d, with no eigensolver: the
+all-ones vector is an eigenvector for d and no row sum exceeds d. It sends
+any other graph with n <= DISPATCH_DENSE_LIMIT to LAPACK's symmetric
+eigensolver through numpy.linalg.eigh and larger graphs to Lanczos over the
+graph's edge array, which stops on an enclosure of lambda1 rather than on a
+residual. spectral_radii, the solve of every campaign, always runs an
+eigensolver. The dense solver takes a (k, n, n) stack of matrices in one
+LAPACK call, so spectral_radii, which takes graphs of any vertex counts,
+solves those of one vertex count together; a single matrix is a stack of
+one. Cyclic Jacobi and shifted power iteration share no code with each
+other or with LAPACK; each is an oracle for the others. Power iteration and
+Lanczos apply the matrix through alpha_matrix.matvec, which reads the
+graph's edge and degree arrays, holds no arrays of its own, and sums each
+row as a row-major scan of the dense matrix does; this module holds solvers
+only.
 """
 
 import itertools
@@ -42,7 +46,7 @@ class SpectralResult:
     """Largest eigenvalue with the evidence that produced it."""
 
     lambda1: float
-    method: str  # a name in METHODS
+    method: str  # a name in METHODS, or "regular"
     residual: float
     iterations: int
 
@@ -251,16 +255,33 @@ def spectral_radius_lanczos(m: AlphaMatrix) -> SpectralResult:
 
 
 def _default_method(n: int) -> str:
-    """The dispatcher's solver for an n-vertex matrix."""
+    """The dispatcher's eigensolver for an n-vertex matrix."""
     return "dense" if n <= DISPATCH_DENSE_LIMIT else "lanczos"
 
 
+def _regular_degree(m: AlphaMatrix) -> int | None:
+    """d when every vertex of m's graph has degree d, else None (also for
+    n = 0): the one-class case of an equitable partition, decided in O(n)
+    by comparing the least and greatest degree."""
+    d = m.degrees
+    return int(d[0]) if d.size and d.min() == d.max() else None
+
+
 def spectral_radius(m: AlphaMatrix, method: str | None = None) -> SpectralResult:
-    """Dispatch to a solver: dense LAPACK for n <= DISPATCH_DENSE_LIMIT (1000),
-    Lanczos above. method may force any name in METHODS; the solver it names,
-    spectral_radius_<method>, is looked up on this module at each call.
+    """Dispatch to a solver. By default a d-regular graph, connected or not,
+    gets lambda1 = d exactly at every alpha, as method "regular" with 0
+    iterations and the measured residual ||A x - d x|| of x = 1/sqrt(n) * 1;
+    any other graph goes to dense LAPACK for n <= DISPATCH_DENSE_LIMIT
+    (1000) and to Lanczos above. method may force any name in METHODS; the
+    solver it names, spectral_radius_<method>, is looked up on this module
+    at each call.
     """
     if method is None:
+        d = _regular_degree(m)
+        if d is not None:
+            x = np.full(m.n, 1.0 / math.sqrt(m.n))
+            resid = float(np.linalg.norm(matvec(m, x) - d * x))
+            return SpectralResult(float(d), "regular", resid, 0)
         method = _default_method(m.n)
     if method not in METHODS:  # by ==, so an unhashable one is unknown
         names = ", ".join(map(repr, METHODS[:-1]))
@@ -276,13 +297,15 @@ def spectral_radii(graphs, graph_ids, alphas,
     graphs may have any vertex counts.
 
     The graphs of one vertex count are solved together, one count at a time
-    in first-seen order. Their layers, graph by graph and alpha by alpha,
-    are cut into calls. On the dense path (the dispatcher's choice up to
-    DISPATCH_DENSE_LIMIT vertices, or method "dense") a call is one LAPACK
-    stack of at most DISPATCH_DENSE_LIMIT**2 entries, so no call holds more
-    than the biggest single dense matrix; a cut may fall inside a graph's
-    alphas. Any other method, and every graph above the limit, get one
-    spectral_radius call per alpha. A ConvergenceError is re-raised naming
+    in first-seen order. Every value comes from an eigensolver: method None
+    is the dispatcher's eigensolver for that vertex count, LAPACK up to
+    DISPATCH_DENSE_LIMIT vertices and Lanczos above, with no exact answer
+    for regular graphs. Their layers, graph by graph and alpha by alpha,
+    are cut into calls. On the dense path a call is one LAPACK stack of at
+    most DISPATCH_DENSE_LIMIT**2 entries, so no call holds more than the
+    biggest single dense matrix; a cut may fall inside a graph's alphas.
+    Any other method gets one spectral_radius call per alpha. A graph with
+    no vertex raises InputError. A ConvergenceError is re-raised naming
     each of graph_ids in the failed call with its alphas there.
     """
     groups, k = {}, len(alphas)  # n -> the rows of its graphs
@@ -290,8 +313,10 @@ def spectral_radii(graphs, graph_ids, alphas,
         groups.setdefault(g.n, []).append(i)
     lams = np.empty((len(graphs), k))
     for n, rows in groups.items():
-        dense = (_default_method(n) if method is None else method) == "dense"
-        step = max(1, DISPATCH_DENSE_LIMIT ** 2 // n ** 2) if dense else 1
+        solver = _default_method(n) if method is None else method
+        dense = solver == "dense"
+        step = (max(1, DISPATCH_DENSE_LIMIT ** 2 // max(n, 1) ** 2)
+                if dense else 1)
         layers = [(i, a) for i in rows for a in alphas]
         out = np.empty(len(layers))
         for lo in range(0, len(layers), step):
@@ -304,7 +329,7 @@ def spectral_radii(graphs, graph_ids, alphas,
                 else:
                     i, a = layers[lo]
                     out[lo] = spectral_radius(
-                        AlphaMatrix(graphs[i], a), method).lambda1
+                        AlphaMatrix(graphs[i], a), solver).lambda1
             except ConvergenceError as exc:
                 at = "; ".join(f"{graph_ids[i]} at alpha="
                                + ", ".join(map(str, run)) for i, run in runs)

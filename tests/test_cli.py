@@ -172,11 +172,18 @@ def test_certify_stars_failure_exit_code(capsys, monkeypatch):
 
 def test_spectral_outputs(capsys):
     rc, out, _ = run(capsys, "spectral", "--gen", "complete:4",
-                     "--alpha", "0.3")
+                     "--alpha", "0.3", "--method", "dense")
     assert rc == 0
     got = fields(out)
     assert abs(float(got["lambda1"]) - 3.0) <= 1e-10
     assert got["method"] == "dense"
+    # By default K_4, which is 3-regular, needs no eigensolver.
+    rc, out, _ = run(capsys, "spectral", "--gen", "complete:4",
+                     "--alpha", "0.3")
+    assert rc == 0
+    got = fields(out)
+    assert got["lambda1"] == "3"
+    assert got["method"] == "regular" and got["iterations"] == "0"
     rc, out, _ = run(capsys, "spectral", "--gen", "cycle:4", "--alpha", "0",
                      "--method", "power")
     got = fields(out)
@@ -188,12 +195,18 @@ def test_spectral_outputs(capsys):
 @pytest.mark.parametrize("n", [400, 1000])
 def test_spectral_cycle_small_gap(capsys, n):
     """Cycles have a spectral gap of order 1/n^2 that stalls power iteration;
-    the default path still returns lambda1 = 2 to 1e-10 and exits 0."""
-    rc, out, _ = run(capsys, "spectral", "--gen", f"cycle:{n}", "--alpha", "0.5")
+    LAPACK still returns lambda1 = 2 to 1e-10 and exits 0, and the default
+    path, which sees that a cycle is 2-regular, returns exactly 2."""
+    rc, out, _ = run(capsys, "spectral", "--gen", f"cycle:{n}", "--alpha",
+                     "0.5", "--method", "dense")
     assert rc == 0
     got = fields(out)
     assert abs(float(got["lambda1"]) - 2.0) <= 1e-10
     assert got["method"] == "dense"
+    rc, out, _ = run(capsys, "spectral", "--gen", f"cycle:{n}", "--alpha", "0.5")
+    assert rc == 0
+    got = fields(out)
+    assert got["lambda1"] == "2" and got["method"] == "regular"
 
 
 def test_verify_cycle_5000_is_fast(tmp_path, capsys):
@@ -209,25 +222,32 @@ def test_verify_cycle_5000_is_fast(tmp_path, capsys):
 
 def test_spectral_cycle_100000(capsys):
     rc, out, _ = run(capsys, "spectral", "--gen", "cycle:100000",
-                     "--alpha", "0.5")
+                     "--alpha", "0.5", "--method", "lanczos")
     assert rc == 0
     got = fields(out)
     assert abs(float(got["lambda1"]) - 2.0) <= 1e-10
     assert got["method"] == "lanczos"
     assert got["iterations"] == "1"
-    # The solve holds O(n + m) arrays, 7.2 MB at its peak: matvec holds no
-    # arrays of its own, only its product and the temporaries of one
-    # product over the edge array. No n x n matrix (80 GB) and no
-    # LANCZOS_MAX_STEPS x n basis (240 MB) is made.
+    rc, out, _ = run(capsys, "spectral", "--gen", "cycle:100000",
+                     "--alpha", "0.5")
+    assert rc == 0
+    got = fields(out)
+    assert got["lambda1"] == "2" and got["method"] == "regular"
+    # Each solve holds O(n + m) arrays, 7.2 MB at Lanczos's peak: matvec
+    # holds no arrays of its own, only its product and the temporaries of
+    # one product over the edge array. No n x n matrix (80 GB) and no
+    # LANCZOS_MAX_STEPS x n basis (240 MB) is made. The default solve
+    # makes one product, for its residual.
     # The graph is built first: gen_cycle's own peak is not the solver's.
     g = gen_cycle(100000)
-    tracemalloc.start()
-    try:
-        spectral_radius(build_alpha_matrix(g, 0.5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20_000_000, f"peak {peak / 1e6:.2f} MB"
+    for method in ("lanczos", None):
+        tracemalloc.start()
+        try:
+            spectral_radius(build_alpha_matrix(g, 0.5), method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000, f"{method}: peak {peak / 1e6:.2f} MB"
 
 
 def test_spectral_and_verify_force_dense(tmp_path, capsys):

@@ -14,19 +14,31 @@ from aalpha import (ConvergenceError, DISPATCH_DENSE_LIMIT, Graph, InputError,
                     gen_complete, gen_cycle, gen_random, gen_star, matvec,
                     spectral_radii_dense, spectral_radius,
                     spectral_radius_dense, spectral_radius_jacobi,
-                    spectral_radius_lanczos, spectral_radius_power)
+                    spectral_radius_lanczos, spectral_radius_power,
+                    verify_graph)
+from aalpha.spectral import spectral_radii
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def test_regular_graphs_have_radius_r():
-    """Constant row sums force lambda1 = r for every alpha."""
+    """Constant row sums force lambda1 = r for every alpha, on connected,
+    disconnected and edgeless graphs. The dispatcher answers r exactly with
+    no eigensolver and a measured residual near 0; every solver agrees."""
+    two_triangles = from_edge_list(
+        6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     cases = [(gen_complete(4), 3), (gen_complete(6), 5), (gen_cycle(5), 2),
-             (gen_cycle(8), 2), (gen_circulant(8, [1, 2]), 4)]
+             (gen_cycle(8), 2), (gen_circulant(8, [1, 2]), 4),
+             (gen_circulant(12, [1, 3, 6]), 5), (gen_complete(2), 1),
+             (two_triangles, 2), (Graph(5, ()), 0)]
     for g, r in cases:
         for alpha in ALPHAS:
             am = build_alpha_matrix(g, alpha)
-            assert abs(spectral_radius_dense(am).lambda1 - r) <= 1e-10
+            res = spectral_radius(am)
+            assert "matrix" not in vars(am)  # .matrix was never read
+            assert res == SpectralResult(float(r), "regular", res.residual, 0)
+            assert res.residual <= 1e-12 * max(1, r), (g, alpha)
+            assert abs(spectral_radius_dense(am).lambda1 - r) <= 1e-12
             assert abs(spectral_radius_jacobi(am).lambda1 - r) <= 1e-10
             assert abs(spectral_radius_power(am).lambda1 - r) <= 1e-9
 
@@ -145,7 +157,13 @@ def test_dispatcher():
             spectral_radius(am, bad)
     assert DISPATCH_DENSE_LIMIT == 1000
     at_limit = build_alpha_matrix(gen_cycle(DISPATCH_DENSE_LIMIT), 0.5)
-    assert spectral_radius(at_limit).method == "dense"
+    assert spectral_radius(at_limit, "dense").method == "dense"
+    res = spectral_radius(at_limit)  # a regular graph needs no eigensolver
+    assert res.method == "regular" and res.lambda1 == 2.0
+    irregular = build_alpha_matrix(
+        add_isolated(gen_cycle(DISPATCH_DENSE_LIMIT - 1), 1), 0.5)
+    assert irregular.n == DISPATCH_DENSE_LIMIT
+    assert spectral_radius(irregular).method == "dense"
 
 
 def test_dispatcher_uses_lanczos_above_limit():
@@ -173,12 +191,53 @@ def test_lanczos_cycle_memory():
     g = gen_cycle(10**5)
     tracemalloc.start()
     try:
-        res = spectral_radius(build_alpha_matrix(g, 0.5))
+        res = spectral_radius(build_alpha_matrix(g, 0.5), "lanczos")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.method == "lanczos" and res.iterations == 1
     assert peak < 9_000_000, f"peak {peak / 1e6:.2f} MB"
+    res = spectral_radius(build_alpha_matrix(g, 0.5))
+    assert res.method == "regular" and res.lambda1 == 2.0
+
+
+def test_verification_of_a_regular_graph_runs_an_eigensolver(monkeypatch):
+    """verify_graph reads LAPACK on a regular graph too, bit for bit, and
+    Lanczos above the dense limit; only the dispatcher answers d."""
+    alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
+    calls = []
+
+    def spy(name):
+        solve = getattr(spectral_mod, name)
+
+        def spied(*args):
+            calls.append(name)
+            return solve(*args)
+        monkeypatch.setattr(spectral_mod, name, spied)
+
+    spy("spectral_radii_dense")
+    spy("spectral_radius_lanczos")
+    for g, solve, want_calls in [
+            (gen_cycle(400), spectral_radius_dense, ["spectral_radii_dense"]),
+            (gen_complete(6), spectral_radius_dense, ["spectral_radii_dense"]),
+            (gen_cycle(DISPATCH_DENSE_LIMIT + 1), spectral_radius_lanczos,
+             ["spectral_radius_lanczos"] * len(alphas))]:
+        want = [solve(build_alpha_matrix(g, a)).lambda1 for a in alphas]
+        calls.clear()
+        assert list(verify_graph(g, alphas).columns["lambda1"]) == want
+        assert calls == want_calls
+
+
+def test_no_vertex_is_an_input_error():
+    """A graph with no vertex is not regular: the dispatcher and
+    spectral_radii refuse it with the solvers' own message."""
+    empty = Graph(0, ())
+    message = "^spectral radius needs at least one vertex$"
+    with pytest.raises(InputError, match=message):
+        spectral_radius(build_alpha_matrix(empty, 0.5))
+    for method in (None, *spectral_mod.METHODS):
+        with pytest.raises(InputError, match=message):
+            spectral_radii([empty], ["e"], [0.5], method)
 
 
 def test_power_convergence_error(monkeypatch):
