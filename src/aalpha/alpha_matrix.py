@@ -47,40 +47,38 @@ class AlphaMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:  # (n, n) float64, read-only
-        m = _assemble([(self.graph, (self.alpha,))])[0]
+        m = _assemble([self.graph], [self.alpha])[0]
         m.flags.writeable = False
         return m
 
 
-def _assemble(runs) -> np.ndarray:
-    """The stack of each run's graph at each of its alphas in turn, for runs
-    of (graph, alphas) pairs whose graphs share n and whose alphas are
-    checked floats.
+def _assemble(graphs, alphas) -> np.ndarray:
+    """The (len(graphs) * len(alphas), n, n) stack of each graph at each
+    alpha, graph-major, for graphs that share n and alphas that are checked
+    floats.
 
-    Each entry is one IEEE operation, as in a matrix built alone: 1 - alpha
-    on an edge, alpha * degree on the diagonal. So each layer equals that
-    matrix bit for bit. A stack that numpy cannot allocate raises InputError
+    Two scatters fill it: 1 - alpha onto the graphs' concatenated edges,
+    then alpha * degree onto their diagonals. Each entry is one IEEE
+    operation, as in a matrix built alone, so each layer equals that matrix
+    bit for bit. A stack that numpy cannot allocate raises InputError
     naming the dense n x n matrix and n.
     """
-    n = runs[0][0].n
-    a = np.array([x for _, alphas in runs for x in alphas], dtype=float)
+    n, a, count = graphs[0].n, np.asarray(alphas, dtype=float), len(graphs)
     with _Holding(n, "the dense n x n matrix of a graph"):
-        m = np.zeros((len(a), n, n))
-    off, idx, lo = (1.0 - a)[:, None], np.arange(n), 0
-    for g, alphas in runs:  # each fills its run of layers
-        layers = slice(lo, lo + len(alphas))
-        u, v = g.edges.T
-        m[layers, u, v] = m[layers, v, u] = off[layers]
-        m[layers, idx, idx] = a[layers, None] * g.degrees
-        lo = layers.stop
-    return m
+        m = np.zeros((count, len(a), n, n))
+    g = np.repeat(np.arange(count), [x.edge_count for x in graphs])
+    u, v = np.concatenate([x.edges for x in graphs]).T
+    m[g, :, u, v] = m[g, :, v, u] = 1.0 - a
+    g, i = np.divmod(np.arange(count * n), n)  # the diagonal, graph by graph
+    m[g, :, i, i] = np.concatenate([x.degrees for x in graphs])[:, None] * a
+    return m.reshape(count * len(a), n, n)
 
 
 def alpha_stack(g: Graph, alphas) -> np.ndarray:
     """alpha*D + (1 - alpha)*A of g for each alpha in turn, as one
     (k, n, n) float64 array. alphas is a sequence, each in [0, 1]."""
-    return _assemble([(g, [check_alpha(x)
-                           for x in check_seq("alphas", alphas)])])
+    return _assemble([g], [check_alpha(x)
+                           for x in check_seq("alphas", alphas)])
 
 
 def build_alpha_matrix(g: Graph, alpha: float) -> AlphaMatrix:

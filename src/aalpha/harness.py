@@ -160,8 +160,9 @@ def verify_graph(g: Graph, alpha_list, method: str | None = None,
     edge-count exclusion. This is _check, every campaign's check, on one
     graph: on the dense path all the alphas go through one LAPACK call (one
     per stack that spectral_radii allows), and each lambda1 equals a solve
-    of that matrix alone, bit for bit. method None is the spectral_radius
-    dispatcher; "jacobi", "power" or "lanczos" force one call per alpha.
+    of that matrix alone, bit for bit. method None means LAPACK, or Lanczos
+    above DISPATCH_DENSE_LIMIT vertices, even for a regular graph; "jacobi",
+    "power" or "lanczos" force one call per alpha.
     """
     alphas = [check_alpha(a) for a in check_seq("alpha_list", alpha_list)]
     if graph_id is None:
@@ -190,13 +191,12 @@ def random_campaign(n_values=range(2, 13), p_values=(0.2, 0.5, 0.8),
     The defaults draw G(n, p) for n in [2, 12], p in {0.2, 0.5, 0.8}, three
     seeds each, and retest every draw with 1 and 2 extra isolated vertices
     (297 graphs). Records come back sorted by (graph_id, alpha). Every
-    argument is a sequence, and every graph is solved by the spectral_radius
-    dispatcher; verify_graph's method forces an oracle on one graph.
+    argument is a sequence; each graph gets verify_graph's default solver.
 
     Each alpha is checked once, and all the graphs go through one _check,
     verify_graph's code, and so one spectral_radii call: one LAPACK call
     per vertex count, 13 for the default campaign (n = 2..14), split only
-    where a stack would grow too big, which may be inside a graph's alphas.
+    where a stack would grow too big, between graphs or a graph's alphas.
     Every record equals verify_graph's for its graph, bit for bit.
     """
     n_values = check_seq("n_values", n_values)

@@ -11,19 +11,17 @@ graph's edge array, which stops on an enclosure of lambda1 rather than on a
 residual. spectral_radii, the solve of every campaign, always runs an
 eigensolver. The dense solver takes a (k, n, n) stack of matrices in one
 LAPACK call, so spectral_radii, which takes graphs of any vertex counts,
-solves those of one vertex count together; a single matrix is a stack of
-one. Cyclic Jacobi and shifted power iteration share no code with each
-other or with LAPACK; each is an oracle for the others. Power iteration and
-Lanczos apply the matrix through alpha_matrix.matvec, which reads the
-graph's edge and degree arrays, holds no arrays of its own, and sums each
-row as a row-major scan of the dense matrix does; this module holds solvers
-only.
+solves a block of one vertex count's graphs at a block of alphas in each
+call; a single matrix is a stack of one. Cyclic Jacobi and shifted power
+iteration share no code with each other or with LAPACK; each is an oracle
+for the others. Power iteration and Lanczos apply the matrix through
+alpha_matrix.matvec, which reads the graph's edge and degree arrays, holds
+no arrays of its own, and sums each row as a row-major scan of the dense
+matrix does; this module holds solvers only.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -300,13 +298,15 @@ def spectral_radii(graphs, graph_ids, alphas,
     in first-seen order. Every value comes from an eigensolver: method None
     is the dispatcher's eigensolver for that vertex count, LAPACK up to
     DISPATCH_DENSE_LIMIT vertices and Lanczos above, with no exact answer
-    for regular graphs. Their layers, graph by graph and alpha by alpha,
-    are cut into calls. On the dense path a call is one LAPACK stack of at
-    most DISPATCH_DENSE_LIMIT**2 entries, so no call holds more than the
-    biggest single dense matrix; a cut may fall inside a graph's alphas.
-    Any other method gets one spectral_radius call per alpha. A graph with
-    no vertex raises InputError. A ConvergenceError is re-raised naming
-    each of graph_ids in the failed call with its alphas there.
+    for regular graphs. Each call solves a block of one group's graphs at
+    a block of the alphas. On the dense path a call is one LAPACK stack,
+    graph-major, of at most per = max(1, DISPATCH_DENSE_LIMIT**2 // n**2)
+    matrices, so no call holds more than the biggest single dense matrix:
+    the k alphas are cut into blocks of min(k, per), and the graphs into
+    blocks of per // min(k, per). Any other method gets one spectral_radius
+    call per graph and alpha. A graph with no vertex raises InputError. A
+    ConvergenceError is re-raised naming each of graph_ids in the failed
+    block at the block's alphas.
     """
     groups, k = {}, len(alphas)  # n -> the rows of its graphs
     for i, g in enumerate(graphs):
@@ -315,27 +315,28 @@ def spectral_radii(graphs, graph_ids, alphas,
     for n, rows in groups.items():
         solver = _default_method(n) if method is None else method
         dense = solver == "dense"
-        step = (max(1, DISPATCH_DENSE_LIMIT ** 2 // max(n, 1) ** 2)
-                if dense else 1)
-        layers = [(i, a) for i in rows for a in alphas]
-        out = np.empty(len(layers))
-        for lo in range(0, len(layers), step):
-            runs = [(i, [a for _, a in run]) for i, run in
-                    itertools.groupby(layers[lo:lo + step], itemgetter(0))]
-            try:
-                if dense:
-                    out[lo:lo + step] = spectral_radii_dense(_assemble(
-                        [(graphs[i], run) for i, run in runs]))[0]
-                else:
-                    i, a = layers[lo]
-                    out[lo] = spectral_radius(
-                        AlphaMatrix(graphs[i], a), solver).lambda1
-            except ConvergenceError as exc:
-                at = "; ".join(f"{graph_ids[i]} at alpha="
-                               + ", ".join(map(str, run)) for i, run in runs)
-                raise ConvergenceError(
-                    f"eigensolver failed on {at}: {exc}",
-                    estimate=exc.estimate, residual=exc.residual,
-                    iterations=exc.iterations) from exc
-        lams[rows] = out.reshape(len(rows), k)
+        per = (max(1, DISPATCH_DENSE_LIMIT ** 2 // max(n, 1) ** 2)
+               if dense else 1)
+        step = max(1, min(k, per))  # alphas per call; k = 0 makes no call
+        size = per // step  # graphs per call
+        for lo in range(0, len(rows), size):
+            block = rows[lo:lo + size]
+            for a in range(0, k, step):
+                at = alphas[a:a + step]
+                try:
+                    if dense:
+                        lams[block, a:a + step] = spectral_radii_dense(
+                            _assemble([graphs[i] for i in block], at)
+                        )[0].reshape(len(block), len(at))
+                    else:
+                        lams[block, a] = spectral_radius(
+                            AlphaMatrix(graphs[block[0]], at[0]),
+                            solver).lambda1
+                except ConvergenceError as exc:
+                    where = "; ".join(f"{graph_ids[i]} at alpha="
+                                      + ", ".join(map(str, at)) for i in block)
+                    raise ConvergenceError(
+                        f"eigensolver failed on {where}: {exc}",
+                        estimate=exc.estimate, residual=exc.residual,
+                        iterations=exc.iterations) from exc
     return lams

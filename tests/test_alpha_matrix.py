@@ -1,5 +1,6 @@
 """Construction of alpha*D + (1 - alpha)*A and its entry-level guarantees."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -182,22 +183,22 @@ def test_alpha_stack_layers_are_the_single_matrices():
 
 
 def test_stack_of_many_graphs_slices_anywhere():
-    """The stack of (graph, alphas) runs of graphs of one n: each layer
-    equals its graph's matrix at its alpha, bit for bit, and a run may
-    begin and end inside a graph's alphas."""
+    """The stack of graphs of one n at alphas, graph-major: each layer
+    equals its graph's matrix at its alpha, bit for bit, and any block of
+    the graphs at any block of the alphas is the matching layers of the
+    full stack."""
     graphs = [gen_random(7, p, s) for p in (0.3, 0.8) for s in range(2)]
     graphs.insert(2, Graph(7, ()))
     alphas = DYADIC_ALPHAS + GENERIC_ALPHAS
     k = len(alphas)
-    full = _assemble([(g, alphas) for g in graphs])
+    full = _assemble(graphs, alphas)
     assert full.shape == (len(graphs) * k, 7, 7)
     for i, m in enumerate(full):
         assert m.tobytes() == build_alpha_matrix(
             graphs[i // k], alphas[i % k]).matrix.tobytes(), i
-    for start, stop in ((0, 3), (4, 13), (k - 1, 3 * k + 2),
-                        (k + 2, 3 * k + 1), (len(full) - 1, len(full))):
-        runs = [(g, alphas[max(start - i * k, 0):max(stop - i * k, 0)])
-                for i, g in enumerate(graphs)]
-        assert _assemble([run for run in runs if run[1]]).tobytes() == \
-            full[start:stop].tobytes()
-    assert _assemble([(graphs[0], ())]).shape == (0, 7, 7)
+    layers = full.reshape(len(graphs), k, 7, 7)
+    for g0, g1 in itertools.combinations(range(len(graphs) + 1), 2):
+        for a0, a1 in itertools.combinations(range(k + 1), 2):
+            assert _assemble(graphs[g0:g1], alphas[a0:a1]).tobytes() == \
+                layers[g0:g1, a0:a1].tobytes(), (g0, g1, a0, a1)
+    assert _assemble([graphs[0]], ()).shape == (0, 7, 7)

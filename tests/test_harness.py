@@ -316,9 +316,9 @@ def test_each_alpha_is_checked_once(monkeypatch):
 
 def test_random_campaign_one_lapack_call_per_vertex_count(monkeypatch):
     """The default campaign solves its 297 graphs x 5 alphas in 13 eigh
-    calls, one per n in 2..14. With the split limit made small, stacks
-    split inside graphs' alphas, none passes limit**2 entries, and every
-    record is unchanged bit for bit."""
+    calls, one per n in 2..14. With the split limit made small, each call
+    is whole graphs at all 5 alphas or one graph at a block of them, none
+    passes limit**2 entries, and every record is unchanged bit for bit."""
     calls = _counted_eigh(monkeypatch)
     records = random_campaign()
     assert sorted(n for _, n, _ in calls) == list(range(2, 15))
@@ -332,11 +332,13 @@ def test_random_campaign_one_lapack_call_per_vertex_count(monkeypatch):
         assert repr(got) == repr(want)
     assert all(k * n * n <= limit ** 2 for k, n, _ in calls)
     assert sum(k for k, _, _ in calls) == 1485
-    starts = {}  # n -> the first layer of each of its stacks
+    starts = {}  # n -> the first layer of its next stack
     for k, n, _ in calls:
-        layers = starts.setdefault(n, [0])
-        layers.append(layers[-1] + k)
-    assert any(layer % 5 for layers in starts.values() for layer in layers)
+        lo = starts.get(n, 0)
+        assert (lo % 5 == 0 and k % 5 == 0) or lo // 5 == (lo + k - 1) // 5, \
+            (n, lo, k)
+        starts[n] = lo + k
+    assert any(k < 5 for k, _, _ in calls)  # 20**2 // n**2 < 5 for n >= 9
 
 
 def test_random_campaign_bounds_are_the_scalar_bounds():
@@ -385,17 +387,25 @@ def test_random_campaign_names_every_graph_in_a_failing_stack(monkeypatch):
     assert msg.endswith(": synthetic stall")
     assert err.estimate == 1.25 and err.residual == 0.5 and err.iterations == 7
     # Stacks of 20**2 // 3**2 = 44 matrices of n = 3 (9 draws of n = 2 + 1,
-    # then 9 of n = 3): the second holds layers 44..87, from the last alpha
-    # of the 9th graph to the third alpha of the 18th.
+    # then 9 of n = 3) hold 8 graphs at all 5 alphas: the second holds the
+    # 9th graph to the 16th.
     monkeypatch.setattr(spectral_mod, "DISPATCH_DENSE_LIMIT", 20)
     _failing_stack(monkeypatch, 3, call=1)
     with pytest.raises(ConvergenceError) as ei:
         random_campaign()
     msg = str(ei.value)
-    assert msg == "eigensolver failed on random:2,0.8,2+iso1 at alpha=1.0; " + \
+    assert msg == f"eigensolver failed on random:2,0.8,2+iso1 {full}; " + \
         "; ".join(f"random:3,{p},{seed} {full}" for p in (0.2, 0.5, 0.8)
-                  for seed in range(3) if (p, seed) != (0.8, 2)) + \
-        "; random:3,0.8,2 at alpha=0.0, 0.25, 0.5: synthetic stall"
+                  for seed in range(3) if p != 0.8 or seed == 0) + \
+        ": synthetic stall"
+    # Stacks of 20**2 // 9**2 = 4 matrices of n = 9 (9 draws of n = 7 + 2
+    # first) hold one graph at 4 alphas: the second holds the last alpha of
+    # the first graph.
+    _failing_stack(monkeypatch, 9, call=1)
+    with pytest.raises(ConvergenceError) as ei:
+        random_campaign()
+    assert str(ei.value) == "eigensolver failed on random:7,0.2,0+iso2 " \
+        "at alpha=1.0: synthetic stall"
 
 
 def test_spectral_radii_takes_graphs_of_mixed_n(monkeypatch):
@@ -419,14 +429,63 @@ def test_spectral_radii_takes_graphs_of_mixed_n(monkeypatch):
         spectral_mod.spectral_radii(graphs, ids, alphas)
     assert str(ei.value) == \
         f"eigensolver failed on S5 {full}; E5 {full}: synthetic stall"
-    # Stacks of 12**2 // 5**2 = 5 matrices of n = 5: the second holds the
-    # last three alphas of E5.
+    # Stacks of 12**2 // 5**2 = 5 matrices of n = 5 hold one graph at all 4
+    # alphas: the second is E5.
     monkeypatch.setattr(spectral_mod, "DISPATCH_DENSE_LIMIT", 12)
     _failing_stack(monkeypatch, 5, call=1)
     with pytest.raises(ConvergenceError) as ei:
         spectral_mod.spectral_radii(graphs, ids, alphas)
+    assert str(ei.value) == f"eigensolver failed on E5 {full}: synthetic stall"
+    # At limit 9, 9**2 // 5**2 = 3 matrices: the fourth stack is E5 at 1.0.
+    monkeypatch.setattr(spectral_mod, "DISPATCH_DENSE_LIMIT", 9)
+    _failing_stack(monkeypatch, 5, call=3)
+    with pytest.raises(ConvergenceError) as ei:
+        spectral_mod.spectral_radii(graphs, ids, alphas)
     assert str(ei.value) == \
-        "eigensolver failed on E5 at alpha=0.25, 0.5, 1.0: synthetic stall"
+        "eigensolver failed on E5 at alpha=1.0: synthetic stall"
+
+
+def test_spectral_radii_blocks_equal_single_solves(monkeypatch):
+    """Each call solves a block of one vertex count's graphs at a block of
+    the alphas. At limit 12 and 4 alphas, n = 4 allows 144 // 16 = 9
+    matrices a call, so blocks of 2 graphs at all 4 alphas, one of them
+    mixing an edgeless graph with a cycle; n = 7 allows 144 // 49 = 2, so
+    one graph at 2 alphas. No call holds more than max(limit**2, n**2)
+    entries, an empty alpha list makes no call, a forced Lanczos solves
+    one matrix a call, and every lambda1 equals a solve of that matrix
+    alone, bit for bit."""
+    limit = 12
+    graphs = [gen_cycle(4), gen_random(7, 0.5, 0), Graph(4, ()),
+              gen_complete(4), Graph(7, ()), gen_star(4),
+              add_isolated(gen_star(3), 1)]
+    ids = ["C4", "R7", "E4", "K4", "E7", "S4", "S3+1"]
+    alphas = [0.0, 0.25, 0.5, 1.0]
+    want = [[_single_lambda1(g, a) for a in alphas] for g in graphs]
+    monkeypatch.setattr(spectral_mod, "DISPATCH_DENSE_LIMIT", limit)
+    calls = _counted_eigh(monkeypatch)
+    lams = spectral_mod.spectral_radii(graphs, ids, alphas)
+    c13 = gen_cycle(13)  # 144 // 169 = 0, so one matrix a call
+    lams13 = spectral_mod.spectral_radii([c13], ["C13"], alphas, "dense")
+    assert calls == [(8, 4, 4), (8, 4, 4), (4, 4, 4)] + [(2, 7, 7)] * 4 \
+        + [(1, 13, 13)] * 4
+    assert all(k * n * n <= max(limit ** 2, n ** 2) for k, n, _ in calls)
+    assert lams.tolist() == want
+    assert lams13.tolist() == [[_single_lambda1(c13, a) for a in alphas]]
+    calls.clear()
+    assert spectral_mod.spectral_radii(graphs, ids, []).shape == (7, 0)
+    assert calls == []
+    seen, lanczos = [], spectral_mod.spectral_radius_lanczos
+
+    def spy(m):
+        seen.append((m.graph, m.alpha))
+        return lanczos(m)
+
+    monkeypatch.setattr(spectral_mod, "spectral_radius_lanczos", spy)
+    lams = spectral_mod.spectral_radii(graphs, ids, alphas, "lanczos")
+    order = [0, 2, 3, 5, 6, 1, 4]  # the n = 4 graphs, then the n = 7
+    assert seen == [(graphs[i], a) for i in order for a in alphas]
+    assert lams.tolist() == [[lanczos(build_alpha_matrix(g, a)).lambda1
+                              for a in alphas] for g in graphs]
 
 
 @pytest.mark.parametrize("kwargs, message", [
